@@ -348,15 +348,19 @@ class _NoResult(Exception):
 
 
 def _branch_depth(args) -> int:
-    if args.branch_depth is not None:
-        return args.branch_depth
-    env = os.environ.get("LIK_BRANCH_DEPTH")
-    if env:
+    depth, source = args.branch_depth, "--branch-depth"
+    if depth is None:
+        env = os.environ.get("LIK_BRANCH_DEPTH")
+        if not env:
+            return DEFAULT_BRANCH_DEPTH
         try:
-            return int(env)
+            depth = int(env)
         except ValueError:
             raise UsageError(f"bad LIK_BRANCH_DEPTH value {env!r}") from None
-    return DEFAULT_BRANCH_DEPTH
+        source = "LIK_BRANCH_DEPTH"
+    if depth < 0:
+        raise UsageError(f"{source} must be at least 0, got {depth}")
+    return depth
 
 
 def _add_common(sub: argparse.ArgumentParser):
@@ -495,6 +499,12 @@ def _cmd_symmetries(args) -> tuple[Report, int]:
             cand = build_symmetry_candidate(sys_, w, ranks)
         except ValueError:
             continue
+        if args.normalize is not None and args.normalize not in cand.unknowns:
+            raise UsageError(
+                f"--normalize {args.normalize!r} names no unknown of the "
+                f"candidate at ranks ({', '.join(str(r) for r in ranks)}), "
+                f"whose unknowns are {cand.unknowns[0]}..{cand.unknowns[-1]}"
+            )
         results, branches = solve_symmetry(
             cand, sys_, w, normalize_tag=args.normalize, max_depth=depth
         )

@@ -1,12 +1,14 @@
 """Polynomial conserved densities and fluxes.
 
-A density rho of a chosen rank is sought as a linear combination of
-shift-canonical building blocks.  Its time derivative on solutions splits
-into a canonical part plus a forward difference; requiring the canonical
-part to vanish coefficient-wise gives the linear system for the unknown
-coefficients, and the difference part supplies the flux:
+A density rho = sum_k c_k b_k of a chosen rank is sought as a linear
+combination of shift-canonical building blocks b_k.  The time derivative
+of each block on solutions splits into a canonical part plus a forward
+difference, Dt(b_k) = C_k + (D - I) J_k.  The canonical parts are the
+columns of the linear system for the unknown coefficients: sum_k c_k C_k
+must vanish monomial by monomial.  The difference parts supply the flux:
 
-    Dt(rho) = (D - I) Jdec   on solutions,  so  Dt(rho) + (D - I)(-Jdec) = 0.
+    Dt(rho) = (D - I) Jdec  on solutions,  Jdec = sum_k c_k J_k,
+    so  Dt(rho) + (D - I)(-Jdec) = 0.
 
 The stored flux is -Jdec, which satisfies the conservation identity
 exactly; it coincides with the flux obtained by accumulating telescoping
@@ -29,7 +31,6 @@ from .linalg import (
     LinearSystem,
     fresh_tags,
     normalize_basis_vector,
-    nullspace,
     parametric_solve,
 )
 from .params import ParamCoeff
@@ -42,14 +43,6 @@ class DensityCandidate:
     rank: Fraction
     blocks: tuple[LatticeMonomial, ...]
     unknowns: tuple[str, ...]
-
-    @property
-    def poly(self) -> LatticePoly:
-        """The candidate as one polynomial with unknown-tag coefficients."""
-        acc = LatticePoly.zero()
-        for tag, m in zip(self.unknowns, self.blocks):
-            acc = acc + LatticePoly.from_monomial(m, ParamCoeff.param(tag))
-        return acc
 
 
 @dataclass(frozen=True)
@@ -105,17 +98,18 @@ def solve_density(
     sys: DdeSystem,
     max_depth: int = 6,
 ) -> tuple[list[DensityResult], list[Branch]]:
-    """Determine the unknown coefficients; one result per nullspace basis
+    """Determine the unknown coefficients; one result per solution basis
     vector on each branch with solutions.  Returns (results, branches)."""
-    e = total_time_derivative(cand.poly, sys)
-    canonical, j_dec = delta_decompose(e)
-    system = LinearSystem.from_poly_coeffs(
-        cand.unknowns, (c for _, c in canonical.items())
+    columns, fluxes = [], []
+    for m in cand.blocks:
+        canonical, j = delta_decompose(
+            total_time_derivative(LatticePoly.from_monomial(m), sys)
+        )
+        columns.append((canonical,))
+        fluxes.append(j)
+    branches = parametric_solve(
+        LinearSystem.from_columns(cand.unknowns, columns), max_depth
     )
-    if not system.parameters:
-        branches = [Branch((), (), nullspace(system))]
-    else:
-        branches = parametric_solve(system, max_depth)
 
     results: list[DensityResult] = []
     for br in branches:
@@ -123,17 +117,21 @@ def solve_density(
             continue
         for vec in br.outcome.basis:
             vec2, note = _pure_power_normalization(vec, cand)
-            assignment = {t: vec2.get(t, ParamCoeff.zero()) for t in cand.unknowns}
-            rho = cand.poly.substitute_params(assignment)
-            jd = j_dec.substitute_params(assignment)
+            rho = LatticePoly.zero()
+            flux = LatticePoly.zero()
+            for tag, m, j in zip(cand.unknowns, cand.blocks, fluxes):
+                c = vec2.get(tag)
+                if c is not None:
+                    rho = rho + LatticePoly.from_monomial(m, c)
+                    flux = flux - j * c
             if rho.is_zero:
                 continue
             results.append(
                 DensityResult(
                     rank=cand.rank,
                     density=rho,
-                    flux=-jd,
-                    flux_decomposition=-jd,
+                    flux=flux,
+                    flux_decomposition=flux,
                     normalization=note,
                     eq_conditions=br.eq_conditions,
                     neq_conditions=br.neq_conditions,

@@ -1,6 +1,12 @@
 """Exact homogeneous linear solving for undetermined coefficients.
 
 Systems are homogeneous with entries polynomial in declared parameters.
+They are assembled column by column: each unknown contributes the
+polynomial slots of the defining identity it multiplies, and every
+monomial of a slot gives one row.  One solver, parametric_solve, handles
+every system; a parameter-free one comes back as a single unconditional
+branch.
+
 Elimination is fraction free (cross multiplication with content removal).
 Whenever no invertible pivot is available the solver splits cases on the
 irreducible factors of a chosen pivot: one generic branch assuming every
@@ -17,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .expr import LatticeMonomial, LatticePoly, term_key
 from .params import ParamCoeff, PMono
 
 
@@ -47,7 +54,7 @@ class LinearSystem:
             vec = _normalize_row(vec)
             if all(c.is_zero for c in vec):
                 continue
-            key = tuple(tuple(sorted(c._terms.items())) for c in vec)
+            key = _row_key(vec)
             if key in seen:
                 continue
             seen.add(key)
@@ -55,32 +62,13 @@ class LinearSystem:
         return cls(tuple(unknowns), tuple(dense))
 
     @classmethod
-    def from_poly_coeffs(
-        cls, unknowns: Sequence[str], coeffs: Iterable[ParamCoeff]
+    def from_columns(
+        cls,
+        unknowns: Sequence[str],
+        columns: Sequence[Sequence[LatticePoly]],
     ) -> "LinearSystem":
-        """Rows from coefficients that are linear in the unknown tags."""
-        tags = set(unknowns)
-        sparse = []
-        for pc in coeffs:
-            row: dict[str, ParamCoeff] = {}
-            rest = pc
-            for t in unknowns:
-                part = pc.coeff_of(t, 1)
-                if part.is_zero:
-                    continue
-                if part.parameters() & tags:
-                    raise LinearSolveError(
-                        f"coefficient is not linear in the unknowns: {pc.render()}"
-                    )
-                row[t] = part
-                rest = rest - part * ParamCoeff.param(t)
-            if not rest.is_zero:
-                raise LinearSolveError(
-                    f"inhomogeneous coefficient constraint: {pc.render()}"
-                )
-            if row:
-                sparse.append(row)
-        return cls.build(unknowns, sparse)
+        """The system whose rows column_rows emits."""
+        return cls.build(unknowns, column_rows(unknowns, columns))
 
     @property
     def parameters(self) -> set[str]:
@@ -118,6 +106,25 @@ class Branch:
 
 
 # -- row utilities ------------------------------------------------------------
+
+
+def column_rows(
+    unknowns: Sequence[str], columns: Sequence[Sequence[LatticePoly]]
+) -> list[dict[str, ParamCoeff]]:
+    """Sparse rows from per-unknown columns: columns[k][s] is the polynomial
+    that unknown k contributes to slot s of the defining identity.
+
+    Every monomial of a slot gives one row; slots are taken in order,
+    monomials within a slot in term_key order.
+    """
+    sparse: list[dict[str, ParamCoeff]] = []
+    for slot in zip(*columns, strict=True):
+        rows: dict[LatticeMonomial, dict[str, ParamCoeff]] = {}
+        for tag, p in zip(unknowns, slot):
+            for m, c in p.items():
+                rows.setdefault(m, {})[tag] = c
+        sparse.extend(rows[m] for m in sorted(rows, key=term_key))
+    return sparse
 
 
 def _normalize_row(vec: list[ParamCoeff]) -> list[ParamCoeff]:
@@ -208,9 +215,8 @@ def _factor_irreducible(pc: ParamCoeff) -> list[ParamCoeff]:
 
 
 class _ParametricSolver:
-    def __init__(self, unknowns: tuple[str, ...], max_depth: int):
+    def __init__(self, unknowns: tuple[str, ...]):
         self.unknowns = unknowns
-        self.max_depth = max_depth
         self.results: list[Branch] = []
 
     # matrix rows are tuples of ParamCoeff, one entry per unknown.  subs
@@ -512,27 +518,23 @@ class _ParametricSolver:
 
 def nullspace(system: LinearSystem) -> SolveOutcome:
     """Nullspace basis of a parameter-free system over the rationals."""
-    for row in system.rows:
-        for c in row:
-            if not c.is_rational:
-                raise LinearSolveError(
-                    "nullspace requires rational entries; use parametric_solve"
-                )
-    solver = _ParametricSolver(system.unknowns, max_depth=0)
-    solver._eliminate([list(r) for r in system.rows], {}, (), 0)
-    (branch,) = solver.results
-    assert branch.outcome is not None
+    if system.parameters:
+        raise LinearSolveError(
+            "nullspace requires rational entries; use parametric_solve"
+        )
+    (branch,) = parametric_solve(system)
     return branch.outcome
 
 
 def parametric_solve(system: LinearSystem, max_depth: int = 6) -> list[Branch]:
-    """Case-split solve of a parameterized homogeneous system.
+    """Case-split solve of a homogeneous system.
 
-    Returns every explored branch with its parameter conditions; branches
+    A parameter-free system gives one unconditional branch.  Returns every
+    explored branch with its parameter conditions; branches
     whose conditions are contradictory are dropped.  Exhausted or
     unresolvable branches are reported with outcome None, never silently.
     """
-    solver = _ParametricSolver(system.unknowns, max_depth)
+    solver = _ParametricSolver(system.unknowns)
     solver.solve([list(r) for r in system.rows], {}, (), [], max_depth)
     # deterministic order: by conditions, generic (fewest equalities) first
     def branch_key(b: Branch):

@@ -32,19 +32,24 @@ from .expr import (
     VarRef,
     antidifference,
     NotExact,
-    partial,
     term_key,
 )
 from .linalg import (
     LinearSystem,
+    column_rows,
     fresh_tags,
     normalize_basis_vector,
     nullspace,
 )
-from .operators import DiffOperator, ExtendedExpr, LocalOpTerm, OpEntry
+from .operators import DiffOperator, ExtendedExpr, OpEntry
 from .params import ParamCoeff
 from .scaling import WeightVector, achievable_ranks, rank_of
-from .symmetry import SymmetryResult, frechet_operator, symmetry_residual
+from .symmetry import (
+    SymmetryResult,
+    frechet_operator,
+    linearization_row,
+    symmetry_residual,
+)
 from .system import DdeSystem
 
 RankMatrix = tuple[tuple[Fraction, ...], ...]
@@ -172,14 +177,7 @@ def covariant(
         row[rho.comp] = OpEntry.local(LatticePoly.var(rho.comp, 0, -1))
         return tuple(row)
     if isinstance(rho, LatticePoly):
-        row = []
-        refs = rho.var_refs()
-        for j in range(n):
-            terms = [
-                LocalOpTerm(partial(rho, x), x.shift) for x in refs if x.comp == j
-            ]
-            row.append(OpEntry(terms))
-        return tuple(row)
+        return linearization_row(rho, n)
     raise TypeError(f"unsupported density description: {rho!r}")
 
 
@@ -313,54 +311,29 @@ class RecursionOutcome:
 
 
 def _collect_rows(
-    applied: dict[str, list[ExtendedExpr]],
-    unknowns: Sequence[str],
-    n: int,
-    rhs_vec: Sequence[LatticePoly] | None = None,
-    mu_tag: str | None = None,
+    applied: dict[str, list[ExtendedExpr]], n: int
 ) -> list[dict[str, ParamCoeff]]:
-    """Match per-unknown application results monomial-wise (and formal
-    antidifference terms by argument group) into linear rows."""
-    rows: list[dict[str, ParamCoeff]] = []
+    """Rows of one constraint family from per-unknown application results.
+
+    Each unknown's column has, per component, one local slot, then one slot
+    per formal antidifference argument group in sorted key order (the
+    group's cofactor).
+    """
+    columns: dict[str, list[LatticePoly]] = {tag: [] for tag in applied}
+    zero = LatticePoly.zero()
     for i in range(n):
-        monos: set[LatticeMonomial] = set()
-        for tag in unknowns:
-            monos.update(applied[tag][i].local.monomials())
-        if rhs_vec is not None:
-            monos.update(rhs_vec[i].monomials())
-        for m in sorted(monos, key=term_key):
-            row: dict[str, ParamCoeff] = {}
-            for tag in unknowns:
-                c = applied[tag][i].local.coeff(m)
-                if not c.is_zero:
-                    row[tag] = c
-            if rhs_vec is not None and mu_tag is not None:
-                c = rhs_vec[i].coeff(m)
-                if not c.is_zero:
-                    row[mu_tag] = -c
-            if row:
-                rows.append(row)
-        arg_keys: dict[tuple, LatticePoly] = {}
-        for tag in unknowns:
-            for arg, _ in applied[tag][i].thetas:
-                arg_keys.setdefault(arg.sort_key(), arg)
-        for key in sorted(arg_keys):
-            cof_monos: set[LatticeMonomial] = set()
-            per_tag: dict[str, LatticePoly] = {}
-            for tag in unknowns:
-                for arg, cof in applied[tag][i].thetas:
-                    if arg.sort_key() == key:
-                        per_tag[tag] = cof
-                        cof_monos.update(cof.monomials())
-            for m in sorted(cof_monos, key=term_key):
-                row = {}
-                for tag, cof in per_tag.items():
-                    c = cof.coeff(m)
-                    if not c.is_zero:
-                        row[tag] = c
-                if row:
-                    rows.append(row)
-    return rows
+        keys = sorted(
+            {
+                arg.sort_key()
+                for exprs in applied.values()
+                for arg, _ in exprs[i].thetas
+            }
+        )
+        for tag, exprs in applied.items():
+            cofs = {arg.sort_key(): cof for arg, cof in exprs[i].thetas}
+            columns[tag].append(exprs[i].local)
+            columns[tag].extend(cofs.get(k, zero) for k in keys)
+    return column_rows(list(columns), list(columns.values()))
 
 
 def solve_recursion(
@@ -418,7 +391,7 @@ def solve_recursion(
                 tag: part.apply(g)
                 for tag, part in zip(cand.unknowns, commutator_parts)
             }
-            probe_cache[sym_index] = _collect_rows(applied, cand.unknowns, n)
+            probe_cache[sym_index] = _collect_rows(applied, n)
         return probe_cache[sym_index]
 
     pair_cache: dict[int, list[dict[str, ParamCoeff]]] = {}
@@ -431,9 +404,9 @@ def solve_recursion(
                 tag: op.apply(list(ga.components))
                 for tag, op in zip(cand.unknowns, cand.basis)
             }
-            pair_cache[k] = _collect_rows(
-                applied, cand.unknowns, n, list(gb.components), mu_tags[k]
-            )
+            # R Ga - mu Gb = 0: the scale unknown mu enters with -Gb
+            applied[mu_tags[k]] = [ExtendedExpr(-c) for c in gb.components]
+            pair_cache[k] = _collect_rows(applied, n)
         return pair_cache[k]
 
     solution: dict[str, ParamCoeff] | None = None

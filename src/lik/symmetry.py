@@ -17,6 +17,7 @@ from typing import Sequence
 from .expr import (
     LatticeMonomial,
     LatticePoly,
+    dir_derivative,
     partial,
     total_time_derivative,
 )
@@ -25,7 +26,6 @@ from .linalg import (
     LinearSystem,
     fresh_tags,
     normalize_basis_vector,
-    nullspace,
     parametric_solve,
 )
 from .operators import DiffOperator, LocalOpTerm, OpEntry
@@ -39,31 +39,24 @@ def frechet_apply(
 ) -> list[LatticePoly]:
     """Directional derivative of f along g: the first-order coefficient of
     f evaluated at u + eps*g."""
-    out = []
-    for fi in f:
-        acc = LatticePoly.zero()
-        for x in fi.var_refs():
-            acc = acc + partial(fi, x) * g[x.comp].shifted(x.shift)
-        out.append(acc)
-    return out
+    return [dir_derivative(fi, g) for fi in f]
+
+
+def linearization_row(p: LatticePoly, n: int) -> tuple[OpEntry, ...]:
+    """Linearization of one scalar polynomial: entry j is
+    sum_k (dp / d x_j[k]) D^k."""
+    refs = p.var_refs()
+    return tuple(
+        OpEntry(
+            [LocalOpTerm(partial(p, x), x.shift) for x in refs if x.comp == j]
+        )
+        for j in range(n)
+    )
 
 
 def frechet_operator(f: Sequence[LatticePoly]) -> DiffOperator:
     """Linearization of f as a matrix of local shift-operator terms."""
-    n = len(f)
-    entries = []
-    for i in range(n):
-        row = []
-        refs = f[i].var_refs()
-        for j in range(n):
-            terms = [
-                LocalOpTerm(partial(f[i], x), x.shift)
-                for x in refs
-                if x.comp == j
-            ]
-            row.append(OpEntry(terms))
-        entries.append(row)
-    return DiffOperator(entries)
+    return DiffOperator([linearization_row(fi, len(f)) for fi in f])
 
 
 @dataclass(frozen=True)
@@ -71,20 +64,6 @@ class SymmetryCandidate:
     ranks: tuple[Fraction, ...]
     blocks: tuple[tuple[LatticeMonomial, ...], ...]  # per component
     unknowns: tuple[str, ...]  # flat, numbered across components
-
-    def component_tags(self, i: int) -> tuple[str, ...]:
-        start = sum(len(b) for b in self.blocks[:i])
-        return self.unknowns[start : start + len(self.blocks[i])]
-
-    @property
-    def components(self) -> tuple[LatticePoly, ...]:
-        out = []
-        for i, blocks in enumerate(self.blocks):
-            acc = LatticePoly.zero()
-            for tag, m in zip(self.component_tags(i), blocks):
-                acc = acc + LatticePoly.from_monomial(m, ParamCoeff.param(tag))
-            out.append(acc)
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -133,13 +112,16 @@ def solve_symmetry(
     Each returned symmetry is scaled so the designated unknown (default:
     the last one, in deterministic order, with a nonzero value) equals 1.
     """
-    residual = symmetry_residual(cand.components, sys)
-    coeffs = [c for ri in residual for _, c in ri.items()]
-    system = LinearSystem.from_poly_coeffs(cand.unknowns, coeffs)
-    if not system.parameters:
-        branches = [Branch((), (), nullspace(system))]
-    else:
-        branches = parametric_solve(system, max_depth)
+    n = sys.n
+    units = [(i, m) for i, blocks in enumerate(cand.blocks) for m in blocks]
+    columns = []
+    for i, m in units:
+        g = [LatticePoly.zero()] * n
+        g[i] = LatticePoly.from_monomial(m)
+        columns.append(symmetry_residual(g, sys))
+    branches = parametric_solve(
+        LinearSystem.from_columns(cand.unknowns, columns), max_depth
+    )
 
     results: list[SymmetryResult] = []
     for br in branches:
@@ -147,12 +129,12 @@ def solve_symmetry(
             continue
         for vec in br.outcome.basis:
             vec2 = _normalize(vec, cand, normalize_tag)
-            assignment = {
-                t: vec2.get(t, ParamCoeff.zero()) for t in cand.unknowns
-            }
-            comps = tuple(
-                c.substitute_params(assignment) for c in cand.components
-            )
+            acc = [LatticePoly.zero()] * n
+            for tag, (i, m) in zip(cand.unknowns, units):
+                c = vec2.get(tag)
+                if c is not None:
+                    acc[i] = acc[i] + LatticePoly.from_monomial(m, c)
+            comps = tuple(acc)
             if all(c.is_zero for c in comps):
                 continue
             if not _rank_uniform(comps, cand.ranks, w):
@@ -170,10 +152,8 @@ def _normalize(
     cand: SymmetryCandidate,
     normalize_tag: str | None,
 ) -> dict[str, ParamCoeff]:
-    order = [normalize_tag] if normalize_tag else list(reversed(cand.unknowns))
+    order = [normalize_tag] if normalize_tag else reversed(cand.unknowns)
     for tag in order:
-        if tag is None:
-            continue
         c = vec.get(tag)
         if c is not None and c.is_rational and c.as_fraction() != 0:
             return normalize_basis_vector(vec, tag, Fraction(1))

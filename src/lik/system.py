@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .expr import LatticePoly, dir_derivative
+from .expr import LatticePoly
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,3 @@ class DdeSystem:
     @property
     def n(self) -> int:
         return len(self.names)
-
-    def time_derivative(self, p: LatticePoly) -> LatticePoly:
-        """Total t-derivative of p on solutions of this system."""
-        return dir_derivative(p, self.rhs)

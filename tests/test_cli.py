@@ -108,6 +108,20 @@ class TestSymmetries:
         code, out, _ = run(capsys, "symmetries", "--ranks", "3,4", broken_file)
         assert code == 2
 
+    def test_normalize_tag(self, capsys, toda_file):
+        code, out, _ = run(
+            capsys, "symmetries", "--ranks", "3,4", "--normalize", "c3", toda_file
+        )
+        assert code == 0
+        assert "G_u = " in out
+
+    def test_normalize_unknown_tag_rejected(self, capsys, toda_file):
+        code, out, err = run(
+            capsys, "symmetries", "--ranks", "3,4", "--normalize", "zz", toda_file
+        )
+        assert code == 1 and out == ""
+        assert "'zz'" in err and "c1..c17" in err
+
 
 class TestRecursion:
     def test_toda(self, capsys, toda_file):
@@ -285,6 +299,19 @@ class TestBranchDepth:
         monkeypatch.setenv("LIK_BRANCH_DEPTH", "many")
         code, _, err = run(capsys, "symmetries", "--ranks", "3,4", param_file)
         assert code == 1 and "LIK_BRANCH_DEPTH" in err
+
+    def test_negative_flag_rejected(self, capsys, param_file):
+        code, out, err = run(
+            capsys, "densities", "--rank", "2", "--branch-depth", "-1", param_file
+        )
+        assert code == 1 and out == ""
+        assert "--branch-depth" in err
+
+    def test_negative_env_var_rejected(self, capsys, param_file, monkeypatch):
+        monkeypatch.setenv("LIK_BRANCH_DEPTH", "-1")
+        code, out, err = run(capsys, "densities", "--rank", "2", param_file)
+        assert code == 1 and out == ""
+        assert "LIK_BRANCH_DEPTH" in err
 
     def test_depth_zero_reports_exhaustion(self, capsys, param_file):
         code, out, _ = run(

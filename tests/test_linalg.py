@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import P
+from lik.expr import LatticePoly
 from lik.linalg import (
     LinearSolveError,
     LinearSystem,
@@ -70,29 +72,55 @@ class TestNullspace:
             nullspace(sys)
 
 
-class TestFromPolyCoeffs:
-    def test_extracts_linear_rows(self):
-        c1 = ParamCoeff.param("c1")
-        c2 = ParamCoeff.param("c2")
-        a = ParamCoeff.param("a")
-        sys = LinearSystem.from_poly_coeffs(
-            ("c1", "c2"), [c1 * 3 - c2 * a, c2 * (a - 1)]
+def fractions_of(system):
+    return [[c.as_fraction() for c in row] for row in system.rows]
+
+
+class TestFromColumns:
+    def test_rows_in_term_key_order_within_each_slot(self):
+        sys = LinearSystem.from_columns(
+            ("c1", "c2"),
+            [
+                (P("u[0] + 3*u[0]*u[1]"), P("v[0]")),
+                (P("u[0]^2 - u[0]"), P("2*v[0]")),
+            ],
+        )
+        # slot 0: u[0]^2, u[0]*u[1], u[0]; then slot 1: v[0]
+        assert fractions_of(sys) == [[0, 1], [1, 0], [1, -1], [1, 2]]
+
+    def test_shared_monomial_gives_one_row(self):
+        sys = LinearSystem.from_columns(
+            ("c1", "c2"), [(P("2*u[0]"),), (P("-3*u[0]"),)]
+        )
+        assert fractions_of(sys) == [[2, -3]]
+
+    def test_zero_slot_gives_no_row(self):
+        zero = LatticePoly.zero()
+        sys = LinearSystem.from_columns(
+            ("c1", "c2"), [(zero, P("u[0]")), (zero, P("u[0]"))]
+        )
+        assert fractions_of(sys) == [[1, 1]]
+        assert LinearSystem.from_columns(("c1",), [(zero,)]).rows == ()
+
+    def test_parametric_entries(self):
+        sys = LinearSystem.from_columns(
+            ("c1", "c2"), [(P("a*u[0]", ("a",)),), (P("u[0] - v[0]"),)]
         )
         assert len(sys.rows) == 2
         assert sys.parameters == {"a"}
 
-    def test_rejects_nonlinear(self):
-        c1 = ParamCoeff.param("c1")
-        with pytest.raises(LinearSolveError):
-            LinearSystem.from_poly_coeffs(("c1",), [c1 * c1])
+    def test_columns_must_have_equal_slot_counts(self):
+        with pytest.raises(ValueError):
+            LinearSystem.from_columns(
+                ("c1", "c2"), [(P("u[0]"),), (P("u[0]"), P("v[0]"))]
+            )
 
 
 class TestParametricSolve:
     def test_single_condition(self):
         # (a - 1) * c1 = 0 splits into a generic empty branch and a = 1
         a = ParamCoeff.param("a")
-        c1 = ParamCoeff.param("c1")
-        sys = LinearSystem.from_poly_coeffs(("c1",), [(a - 1) * c1])
+        sys = LinearSystem.build(("c1",), [{"c1": a - 1}])
         branches = parametric_solve(sys)
         by_conds = {
             tuple(c.render() for c in b.eq_conditions): b for b in branches
@@ -112,8 +140,7 @@ class TestParametricSolve:
     def test_nonzero_parameter_assumption(self):
         # a * c1 = 0 with a a declared nonzero parameter: no case split
         a = ParamCoeff.param("a")
-        c1 = ParamCoeff.param("c1")
-        sys = LinearSystem.from_poly_coeffs(("c1",), [a * c1])
+        sys = LinearSystem.build(("c1",), [{"c1": a}])
         branches = parametric_solve(sys)
         assert len(branches) == 1
         assert branches[0].outcome.dimension == 0
@@ -121,9 +148,9 @@ class TestParametricSolve:
     def test_branch_soundness_by_substitution(self):
         # c1*(a-2) + c2 = 0 and c2*(b-3) = 0
         a, b = ParamCoeff.param("a"), ParamCoeff.param("b")
-        c1, c2 = ParamCoeff.param("c1"), ParamCoeff.param("c2")
-        coeffs = [c1 * (a - 2) + c2, c2 * (b - 3)]
-        sys = LinearSystem.from_poly_coeffs(("c1", "c2"), coeffs)
+        sys = LinearSystem.build(
+            ("c1", "c2"), [{"c1": a - 2, "c2": R(1)}, {"c2": b - 3}]
+        )
         samples = {
             (): {"a": R(7), "b": R(11)},
             ("a - 2",): {"a": R(2), "b": R(5)},
@@ -145,8 +172,7 @@ class TestParametricSolve:
     def test_nonlinear_pivot_via_cleared_substitution(self):
         # (a*b - 1)*c1 = 0: solvable because parameters are nonzero
         a, b = ParamCoeff.param("a"), ParamCoeff.param("b")
-        c1 = ParamCoeff.param("c1")
-        sys = LinearSystem.from_poly_coeffs(("c1",), [(a * b - 1) * c1])
+        sys = LinearSystem.build(("c1",), [{"c1": a * b - 1}])
         branches = parametric_solve(sys)
         dims = {
             tuple(c.render() for c in b2.eq_conditions): b2.outcome.dimension
@@ -158,9 +184,9 @@ class TestParametricSolve:
 
     def test_determinism(self):
         a, b = ParamCoeff.param("a"), ParamCoeff.param("b")
-        c1, c2 = ParamCoeff.param("c1"), ParamCoeff.param("c2")
-        coeffs = [c1 * (a - 1) + c2 * (b - 1), c2 * (a + b)]
-        sys = LinearSystem.from_poly_coeffs(("c1", "c2"), coeffs)
+        sys = LinearSystem.build(
+            ("c1", "c2"), [{"c1": a - 1, "c2": b - 1}, {"c2": a + b}]
+        )
         first = [
             (
                 tuple(c.render() for c in br.eq_conditions),
