@@ -593,6 +593,8 @@ def dict_of_assignments(path: str, sys_: DdeSystem) -> dict[str, LatticePoly]:
     text = _read_text(path)
     out = {}
     for key, rhs, ln in parse_assignments(text):
+        if key in out:
+            raise ParseError(f"duplicate assignment for {key!r}", ln, 1)
         out[key] = parse_expression(rhs, sys_.names, sys_.params, line_no=ln)
     return out
 

@@ -7,13 +7,20 @@ monomial of a slot gives one row.  One solver, parametric_solve, handles
 every system; a parameter-free one comes back as a single unconditional
 branch.
 
-Elimination is fraction free (cross multiplication with content removal).
-Whenever no invertible pivot is available the solver splits cases on the
-irreducible factors of a chosen pivot: one generic branch assuming every
-factor nonzero, and one branch per factor forced to zero (resolved by
-substituting the factor's solution for a parameter).  Declared parameters
-themselves are assumed nonzero throughout, so pure parameter monomials
-never trigger a split.
+Every matrix whose entries are all rational -- a parameter-free system,
+or a branch whose parameters have been substituted away -- is solved by
+one sparse Gauss-Jordan kernel over Fraction rows, which returns the
+nullspace basis read off the reduced row echelon form.  The pivot row of
+each column is the sparsest candidate; since the RREF is unique for a
+fixed column order, that choice changes only the speed.
+
+A matrix that still holds a parameter entry is eliminated fraction free
+(cross multiplication with content removal).  Whenever no invertible
+pivot is available the solver splits cases on the irreducible factors of
+a chosen pivot: one generic branch assuming every factor nonzero, and one
+branch per factor forced to zero (resolved by substituting the factor's
+solution for a parameter).  Declared parameters themselves are assumed
+nonzero throughout, so pure parameter monomials never trigger a split.
 """
 
 from __future__ import annotations
@@ -153,12 +160,12 @@ def _normalize_row(vec: list[ParamCoeff]) -> list[ParamCoeff]:
             break
     inv_mono: PMono = tuple(sorted((n, -e) for n, e in (mono or {}).items() if e > 0))
     scale = ParamCoeff({inv_mono: Fraction(1) / content})
-    out = [c * scale for c in vec]
+    out = [c if c.is_zero else c * scale for c in vec]
     for c in out:
         if not c.is_zero:
             _, lead = c.leading()
             if lead < 0:
-                out = [-x for x in out]
+                out = [x if x.is_zero else -x for x in out]
             break
     return out
 
@@ -208,6 +215,78 @@ def _factor_irreducible(pc: ParamCoeff) -> list[ParamCoeff]:
         if all(f != g for g in out):
             out.append(f)
     out.sort(key=lambda f: (f.total_degree(), f.render()))
+    return out
+
+
+# -- the rational kernel --------------------------------------------------------
+
+
+def _is_rational(matrix: Iterable[Sequence[ParamCoeff]]) -> bool:
+    return all(c.is_rational for row in matrix for c in row)
+
+
+def _rational_nullspace(
+    unknowns: Sequence[str], matrix: Iterable[Sequence[ParamCoeff]]
+) -> SolveOutcome:
+    """Nullspace basis of an all-rational matrix by sparse Gauss-Jordan
+    elimination on {column: Fraction} rows, columns in unknown order.
+
+    One basis vector per free column fc of the RREF R: fc = 1 and -R[p][fc]
+    on each pivot column p, zeros omitted.  Duplicate and scaled rows do
+    not change R, so rows need no normalization.
+    """
+    # forward pass: rows bucketed by leading column, eliminated column by
+    # column with the sparsest row of the bucket as pivot
+    by_lead: dict[int, list[dict[int, Fraction]]] = {}
+    for row in matrix:
+        vec = {j: c.as_fraction() for j, c in enumerate(row) if not c.is_zero}
+        if vec:
+            by_lead.setdefault(min(vec), []).append(vec)
+    pivots: dict[int, dict[int, Fraction]] = {}  # column -> row, entry 1
+    for col in range(len(unknowns)):
+        bucket = by_lead.pop(col, None)
+        if not bucket:
+            continue
+        k = min(range(len(bucket)), key=lambda i: len(bucket[i]))
+        inv = 1 / bucket[k][col]
+        piv = {j: a * inv for j, a in bucket[k].items()}
+        pivots[col] = piv
+        for i, row in enumerate(bucket):
+            if i != k:
+                row = _subtract_multiple(row, row[col], piv)
+                if row:
+                    by_lead.setdefault(min(row), []).append(row)
+    # backward pass: clear every pivot column above its pivot, last first
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
+        for q in [q for q in row if q != col and q in pivots]:
+            row = _subtract_multiple(row, row[q], pivots[q])
+        pivots[col] = row
+    by_free: dict[int, list[tuple[int, Fraction]]] = {}
+    for col, row in pivots.items():
+        for j, a in row.items():
+            if j != col:
+                by_free.setdefault(j, []).append((col, -a))
+    basis = []
+    for fc in range(len(unknowns)):
+        if fc in pivots:
+            continue
+        entries = sorted([(fc, Fraction(1))] + by_free.get(fc, []))
+        basis.append({unknowns[j]: ParamCoeff.from_value(v) for j, v in entries})
+    return SolveOutcome(tuple(basis))
+
+
+def _subtract_multiple(
+    row: dict[int, Fraction], f: Fraction, piv: dict[int, Fraction]
+) -> dict[int, Fraction]:
+    """row - f*piv with zero entries dropped."""
+    out = dict(row)
+    for j, a in piv.items():
+        v = out.get(j, 0) - f * a
+        if v:
+            out[j] = v
+        else:
+            del out[j]
     return out
 
 
@@ -266,8 +345,17 @@ class _ParametricSolver:
     ) -> None:
         if pending:
             self._resolve_pending(matrix, subs, neqs, pending, depth)
-            return
-        self._eliminate(matrix, subs, neqs, depth)
+        elif _is_rational(matrix):
+            self.results.append(
+                Branch(
+                    self._conditions(subs),
+                    neqs,
+                    _rational_nullspace(self.unknowns, matrix),
+                    "solved",
+                )
+            )
+        else:
+            self._eliminate(matrix, subs, neqs, depth)
 
     def _resolve_pending(self, matrix, subs, neqs, pending, depth) -> None:
         f = _normalize_factor(pending[0])
@@ -518,12 +606,11 @@ class _ParametricSolver:
 
 def nullspace(system: LinearSystem) -> SolveOutcome:
     """Nullspace basis of a parameter-free system over the rationals."""
-    if system.parameters:
+    if not _is_rational(system.rows):
         raise LinearSolveError(
             "nullspace requires rational entries; use parametric_solve"
         )
-    (branch,) = parametric_solve(system)
-    return branch.outcome
+    return _rational_nullspace(system.unknowns, system.rows)
 
 
 def parametric_solve(system: LinearSystem, max_depth: int = 6) -> list[Branch]:

@@ -1,12 +1,15 @@
 """Difference-operator algebra with nonlocal inverse-difference terms.
 
 Entries are sums of local terms  cof * D^a  and nonlocal sandwiches
-B * (D-I)^-1 * C * D^b.  Normal form keeps cofactors fully to the left of
+B * (D-I)^-1 * C.  Normal form keeps cofactors fully to the left of
 shifts via D^a(f I) = (D^a f) D^a, and consumes shifts hitting the
 inverse difference via
 
     D^a (D-I)^-1 = (D-I)^-1 + D^(a-1) + ... + I          (a > 0)
-    D^a (D-I)^-1 = (D-I)^-1 - D^-1 - ... - D^a           (a < 0).
+    D^a (D-I)^-1 = (D-I)^-1 - D^-1 - ... - D^a           (a < 0),
+
+so a trailing shift is folded away: B (D-I)^-1 C D^b becomes
+B (D-I)^-1 C[-b] plus local terms, and equal operators compare equal.
 
 A composition that would leave (D-I)^-1 immediately left of a non-constant
 cofactor stays an opaque sandwich; no illegal commuting is performed.
@@ -42,7 +45,8 @@ class LocalOpTerm:
 
 @dataclass(frozen=True)
 class NonlocalOpTerm:
-    """left * (D-I)^-1 * right * D^power; right is scale-normalized."""
+    """left * (D-I)^-1 * right * D^power; in an OpEntry right is
+    scale-normalized and power is 0."""
 
     left: LatticePoly
     right: LatticePoly
@@ -156,42 +160,39 @@ class OpEntry:
         nonlocal_terms: Iterable[NonlocalOpTerm] = (),
     ):
         by_power: dict[int, LatticePoly] = {}
-        pending_nl: list[NonlocalOpTerm] = list(nonlocal_terms)
         for t in local_terms:
             if t.cof.is_zero:
                 continue
             by_power[t.power] = by_power.get(t.power, LatticePoly.zero()) + t.cof
 
-        resolved_nl: dict[tuple, tuple[LatticePoly, LatticePoly, int]] = {}
-        nl_order: list[tuple] = []
-        while pending_nl:
-            t = pending_nl.pop(0)
+        resolved_nl: dict[tuple, tuple[LatticePoly, LatticePoly]] = {}
+        for t in nonlocal_terms:
             if t.left.is_zero or t.right.is_zero:
                 continue
-            right = t.right
+            left, right = t.left, t.right
+            if t.power:
+                # right*D^k = D^k*right[-k], and D^k commutes with (D-I)^-1
+                right = right.shifted(-t.power)
+                for sign, j in _shift_correction(t.power):
+                    by_power[j] = (
+                        by_power.get(j, LatticePoly.zero())
+                        + left * right.shifted(j) * sign
+                    )
             if len(right) == 1 and right.leading()[0].is_constant:
                 # constant right cofactor commutes through (D-I)^-1
-                c = right.leading()[1]
-                left = t.left * c
-                for sign, j in _shift_correction(t.power):
-                    by_power[j] = by_power.get(j, LatticePoly.zero()) + left * sign
-                t = NonlocalOpTerm(left, LatticePoly.const(1), 0)
-                if t.left.is_zero:
-                    continue
-            left, right, power = t.left, t.right, t.power
+                left = left * right.leading()[1]
+                right = LatticePoly.const(1)
             _, lead = right.leading()
             if lead.is_rational:
                 k = lead.as_fraction()
                 if k not in (0, 1):
                     right = right * (Fraction(1) / k)
                     left = left * k
-            key = (right.sort_key(), power)
+            key = right.sort_key()
             if key in resolved_nl:
-                l0, r0, p0 = resolved_nl[key]
-                resolved_nl[key] = (l0 + left, r0, p0)
+                resolved_nl[key] = (resolved_nl[key][0] + left, right)
             else:
-                resolved_nl[key] = (left, right, power)
-                nl_order.append(key)
+                resolved_nl[key] = (left, right)
 
         self.locals = tuple(
             LocalOpTerm(by_power[a], a)
@@ -199,9 +200,9 @@ class OpEntry:
             if not by_power[a].is_zero
         )
         self.nonlocals = tuple(
-            NonlocalOpTerm(*resolved_nl[k])
-            for k in sorted(nl_order)
-            if not resolved_nl[k][0].is_zero
+            NonlocalOpTerm(left, right, 0)
+            for left, right in (resolved_nl[k] for k in sorted(resolved_nl))
+            if not left.is_zero
         )
 
     # -- constructors ---------------------------------------------------
@@ -252,7 +253,7 @@ class OpEntry:
     def scale(self, k: Union[int, Fraction, ParamCoeff]) -> "OpEntry":
         return OpEntry(
             [LocalOpTerm(t.cof * k, t.power) for t in self.locals],
-            [NonlocalOpTerm(t.left * k, t.right, t.power) for t in self.nonlocals],
+            [NonlocalOpTerm(t.left * k, t.right, 0) for t in self.nonlocals],
         )
 
     def compose(self, other: "OpEntry") -> "OpEntry":
@@ -266,22 +267,12 @@ class OpEntry:
                 )
             for b in other.nonlocals:
                 base = a.cof * b.left.shifted(a.power)
-                nl.append(NonlocalOpTerm(base, b.right, b.power))
+                nl.append(NonlocalOpTerm(base, b.right, 0))
                 for sign, j in _shift_correction(a.power):
-                    loc.append(
-                        LocalOpTerm(
-                            base * b.right.shifted(j) * sign, j + b.power
-                        )
-                    )
+                    loc.append(LocalOpTerm(base * b.right.shifted(j) * sign, j))
         for a in self.nonlocals:
             for b in other.locals:
-                nl.append(
-                    NonlocalOpTerm(
-                        a.left,
-                        a.right * b.cof.shifted(a.power),
-                        a.power + b.power,
-                    )
-                )
+                nl.append(NonlocalOpTerm(a.left, a.right * b.cof, b.power))
             if other.nonlocals:
                 raise ValueError(
                     "composition of two nonlocal operator factors has no "
@@ -298,10 +289,10 @@ class OpEntry:
         nl = []
         for t in self.nonlocals:
             nl.append(
-                NonlocalOpTerm(dir_derivative(t.left, directions), t.right, t.power)
+                NonlocalOpTerm(dir_derivative(t.left, directions), t.right, 0)
             )
             nl.append(
-                NonlocalOpTerm(t.left, dir_derivative(t.right, directions), t.power)
+                NonlocalOpTerm(t.left, dir_derivative(t.right, directions), 0)
             )
         return OpEntry(loc, nl)
 
@@ -317,7 +308,7 @@ class OpEntry:
                     "cannot push an unresolved antidifference through "
                     "another inverse difference"
                 )
-            inner = t.right * g.local.shifted(t.power)
+            inner = t.right * g.local
             out = antidifference(inner)
             if isinstance(out, NotExact):
                 acc = acc + ExtendedExpr(
@@ -472,8 +463,6 @@ def render_entry(entry: OpEntry, names: Sequence[str]) -> str:
             if rsign == "-":
                 sign = "-" if sign == "+" else "+"
             body += f"*{rfactor}" if rfactor else ""
-        if t.power:
-            body += f"*{_op_symbol(t.power)}"
         pieces.append((sign, body))
     out = []
     for k, (sign, body) in enumerate(pieces):

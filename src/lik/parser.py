@@ -151,7 +151,7 @@ class _ExprParser:
             tok = self.cur
             rhs = self.signed_factor()
             if op == "*":
-                value = self._mul(value, rhs)
+                value = self._mul(value, rhs, tok)
             else:
                 value = self._div(value, rhs, tok)
         return value
@@ -179,7 +179,7 @@ class _ExprParser:
                 raise ParseError("negative operator powers only for D", tok.line, tok.col)
             out = OpEntry.identity()
             for _ in range(k):
-                out = out.compose(base)
+                out = self._mul(out, base, tok)
             return out
         if k < 0 and len(base) != 1:
             raise ParseError(
@@ -260,12 +260,15 @@ class _ExprParser:
             return OpEntry.local(a), b
         return a, b
 
-    def _mul(self, a, b):
+    def _mul(self, a, b, tok: Token):
         if isinstance(a, LatticePoly) and isinstance(b, LatticePoly):
             return a * b
         a2 = a if isinstance(a, OpEntry) else OpEntry.local(a)
         b2 = b if isinstance(b, OpEntry) else OpEntry.local(b)
-        return a2.compose(b2)
+        try:
+            return a2.compose(b2)
+        except ValueError as exc:  # two nonlocal factors
+            raise ParseError(str(exc), tok.line, tok.col) from None
 
     def _div(self, a, b, tok: Token):
         if not isinstance(b, LatticePoly):

@@ -194,6 +194,42 @@ class TestDiagnostics:
         assert code == 1
         assert "2:" in err
 
+    def test_operator_file_with_two_nonlocal_factors(self, tmp_path, toda_file):
+        f = tmp_path / "op.txt"
+        f.write_text(
+            "R[1][1] = u[0]*I\nR[1][2] = D^-1 + I\n"
+            "R[2][1] = v[0]*I + v[0]*D\nR[2][2] = S*S\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "lik", "verify", "--operator", str(f), toda_file],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("parse error: 4:3: composition of two")
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "flag, text, key",
+        [
+            ("--density", "rho = u[0]\nflux = v[-1]\nflux = v[0]\n", "flux"),
+            (
+                "--symmetry",
+                "G_u = v[0] - v[-1]\nG_v = u[1]*v[0]\nG_u = v[0]\n",
+                "G_u",
+            ),
+        ],
+        ids=["density", "symmetry"],
+    )
+    def test_duplicate_certificate_key(
+        self, capsys, tmp_path, toda_file, flag, text, key
+    ):
+        f = tmp_path / "cert.txt"
+        f.write_text(text)
+        code, out, err = run(capsys, "verify", flag, str(f), toda_file)
+        assert code == 1 and out == ""
+        assert f"3:1: duplicate assignment for {key!r}" in err
+
     def test_usage_error(self, capsys, toda_file):
         code, _, err = run(capsys, "densities", toda_file)
         assert code == 1

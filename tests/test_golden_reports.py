@@ -23,6 +23,8 @@ HASH_SEEDS = ("0", "4021")
 
 CASES = [
     ("toda-densities-6", 0, ("densities", "--max-rank", "6", "systems/toda.dde")),
+    ("toda-densities-rank-9", 0, ("densities", "--rank", "9", "systems/toda.dde")),
+    ("toda-symmetries-4", 0, ("symmetries", "--levels", "4", "systems/toda.dde")),
     ("toda-recursion", 0, ("recursion", "systems/toda.dde")),
     ("volterra-recursion", 0, ("recursion", "systems/volterra.dde")),
     ("broken-toda-recursion", 2, ("recursion", "systems/broken_toda.dde")),

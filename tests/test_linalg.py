@@ -1,6 +1,9 @@
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+import sympy
+from hypothesis import given
 
 from conftest import P
 from lik.expr import LatticePoly
@@ -70,6 +73,79 @@ class TestNullspace:
         )
         with pytest.raises(LinearSolveError):
             nullspace(sys)
+
+
+@st.composite
+def rational_matrices(draw):
+    """(ncols, rows): small sparse rational rows, possibly none, with zero
+    rows and duplicate or scaled copies mixed in."""
+    ncols = draw(st.integers(0, 6))
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=7))
+    copies = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 6),
+                st.fractions(min_value=-2, max_value=2, max_denominator=3),
+            ),
+            max_size=3,
+        )
+    )
+    for k, scale in copies:
+        if rows:
+            rows.append([scale * v for v in rows[k % len(rows)]])
+    return ncols, rows
+
+
+def sympy_nullspace(ncols, rows, unknowns):
+    """The basis sympy reads off its RREF, as sparse rational assignments."""
+    flat = [sympy.Rational(v.numerator, v.denominator) for row in rows for v in row]
+    out = []
+    for vec in sympy.Matrix(len(rows), ncols, flat).nullspace():
+        out.append(
+            [(t, Fraction(int(x.p), int(x.q))) for t, x in zip(unknowns, vec) if x != 0]
+        )
+    return out
+
+
+class TestRationalKernel:
+    @given(rational_matrices())
+    def test_nullspace_matches_sympy_rref(self, matrix):
+        ncols, rows = matrix
+        unknowns = tuple(f"c{k + 1}" for k in range(ncols))
+        expected = sympy_nullspace(ncols, rows, unknowns)
+        raw = LinearSystem(unknowns, tuple(tuple(R(v) for v in row) for row in rows))
+        built = rows_from(
+            [{t: v for t, v in zip(unknowns, row) if v} for row in rows], unknowns
+        )
+        for system in (raw, built):
+            got = [
+                [(t, c.as_fraction()) for t, c in vec.items()]
+                for vec in nullspace(system).basis
+            ]
+            assert got == expected
+
+    def test_branch_made_rational_by_substitution(self):
+        # on a = 2 the rows become [1, 1, 3] and twice that row
+        a = ParamCoeff.param("a")
+        sys = LinearSystem.build(
+            ("c1", "c2", "c3"),
+            [{"c1": a - 1, "c2": R(1), "c3": R(3)}, {"c1": R(2), "c2": R(2), "c3": R(6)}],
+        )
+        branches = parametric_solve(sys)
+        assert [[c.render() for c in b.eq_conditions] for b in branches] == [
+            [],
+            ["a - 2"],
+        ]
+        special = branches[1]
+        assert special.neq_conditions == () and special.status == "solved"
+        assert [
+            {t: c.as_fraction() for t, c in vec.items()}
+            for vec in special.outcome.basis
+        ] == [{"c1": -1, "c2": 1}, {"c1": -3, "c3": 1}]
 
 
 def fractions_of(system):

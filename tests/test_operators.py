@@ -1,6 +1,6 @@
 import pytest
 import hypothesis.strategies as st
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 from conftest import P, UV, nonzero_polys, polys
 from lik.expr import LatticePoly
@@ -43,6 +43,16 @@ class TestNormalForm:
 
     def test_inverse_difference_annihilates_difference(self):
         assert E("S").compose(E("D - I")) == E("I")
+
+    def test_trailing_shift_folds_into_normal_form(self):
+        # S*u[-2]*D^-2 = S*u[0] - u[-2]*D^-2 - u[-1]*D^-1
+        assert E("S*u[-2]*D^-2") == E("S*u[0] - u[-2]*D^-2 - u[-1]*D^-1")
+
+    def test_compose_associative_with_trailing_shift(self):
+        a, b, c = E("-D^-1 + S"), E("D^-2"), E("u[0]*I")
+        lhs = a.compose(b).compose(c)
+        assert lhs == a.compose(b.compose(c))
+        assert lhs == E("-u[-3]*D^-3 - u[-2]*D^-2 - u[-1]*D^-1 + S*u[0]")
 
     def test_nonlocal_times_nonlocal_rejected(self):
         with pytest.raises(ValueError):
@@ -164,6 +174,7 @@ class TestCompositionSoundness:
 
     @settings(max_examples=100)
     @given(a=entries(), b=entries(), c=entries())
+    @example(a=E("-D^-1 + S"), b=E("D^-2"), c=E("u[0]*I"))
     def test_compose_associative(self, a, b, c):
         try:
             lhs = a.compose(b).compose(c)
