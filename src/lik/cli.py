@@ -592,10 +592,10 @@ def _cmd_verify(args) -> tuple[Report, int]:
 def dict_of_assignments(path: str, sys_: DdeSystem) -> dict[str, LatticePoly]:
     text = _read_text(path)
     out = {}
-    for key, rhs, ln in parse_assignments(text):
+    for key, rhs, ln, col in parse_assignments(text):
         if key in out:
             raise ParseError(f"duplicate assignment for {key!r}", ln, 1)
-        out[key] = parse_expression(rhs, sys_.names, sys_.params, line_no=ln)
+        out[key] = parse_expression(rhs, sys_.names, sys_.params, line_no=ln, col=col)
     return out
 
 

@@ -17,7 +17,8 @@ fixed column order, that choice changes only the speed.
 A matrix that still holds a parameter entry is eliminated fraction free
 (cross multiplication with content removal).  Whenever no invertible
 pivot is available the solver splits cases on the irreducible factors of
-a chosen pivot: one generic branch assuming every factor nonzero, and one
+a chosen pivot (exact factorization over Z by lik.factor, memoized per
+process): one generic branch assuming every factor nonzero, and one
 branch per factor forced to zero (resolved by substituting the factor's
 solution for a parameter).  Declared parameters themselves are assumed
 nonzero throughout, so pure parameter monomials never trigger a split.
@@ -25,6 +26,7 @@ nonzero throughout, so pure parameter monomials never trigger a split.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -186,36 +188,17 @@ def _factor_irreducible(pc: ParamCoeff) -> list[ParamCoeff]:
     pc = _normalize_factor(pc)
     if pc.is_zero or pc.is_rational or pc.is_unit_monomial():
         return []
-    import sympy
+    return list(_factors_of_normalized(pc))
 
-    names = sorted(pc.parameters())
-    syms = [sympy.Symbol(n) for n in names]
-    expr = sympy.Integer(0)
-    for m, c in pc.items():
-        term = sympy.Rational(c.numerator, c.denominator)
-        d = dict(m)
-        for n, s in zip(names, syms):
-            if n in d:
-                term *= s ** d[n]
-        expr += term
-    _, factors = sympy.factor_list(expr, *syms)
-    out: list[ParamCoeff] = []
-    for base, _ in factors:
-        poly = sympy.Poly(base, *syms)
-        acc: dict[PMono, Fraction] = {}
-        for exps, coeff in poly.terms():
-            q = sympy.Rational(coeff)
-            mono: PMono = tuple(
-                sorted((n, int(e)) for n, e in zip(names, exps) if e)
-            )
-            acc[mono] = Fraction(int(q.p), int(q.q))
-        f = _normalize_factor(ParamCoeff(acc))
-        if f.is_rational or f.is_unit_monomial():
-            continue
-        if all(f != g for g in out):
-            out.append(f)
+
+@functools.cache
+def _factors_of_normalized(pc: ParamCoeff) -> tuple[ParamCoeff, ...]:
+    from .factor import irreducible_factors
+
+    factors = [_normalize_factor(f) for f in irreducible_factors(pc)]
+    out = [f for f in factors if not f.is_unit_monomial()]
     out.sort(key=lambda f: (f.total_degree(), f.render()))
-    return out
+    return tuple(out)
 
 
 # -- the rational kernel --------------------------------------------------------

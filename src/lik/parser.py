@@ -55,7 +55,8 @@ class Token:
     col: int
 
 
-def _tokenize(text: str, line_no: int) -> list[Token]:
+def _tokenize(text: str, line_no: int, col: int = 1) -> list[Token]:
+    """Tokens of text, which starts at column col of line line_no."""
     out: list[Token] = []
     pos = 0
     while pos < len(text):
@@ -66,16 +67,18 @@ def _tokenize(text: str, line_no: int) -> list[Token]:
             break
         m = _TOKEN_RE.match(text, pos)
         if not m or m.end() == pos:
-            raise ParseError(f"unexpected character {text[pos]!r}", line_no, pos + 1)
-        col = m.start("int" if m.group("int") else "name" if m.group("name") else "op") + 1
+            raise ParseError(f"unexpected character {text[pos]!r}", line_no, col + pos)
+        start = col + m.start(
+            "int" if m.group("int") else "name" if m.group("name") else "op"
+        )
         if m.group("int"):
-            out.append(Token("int", m.group("int"), line_no, col))
+            out.append(Token("int", m.group("int"), line_no, start))
         elif m.group("name"):
-            out.append(Token("name", m.group("name"), line_no, col))
+            out.append(Token("name", m.group("name"), line_no, start))
         else:
-            out.append(Token(m.group("op"), m.group("op"), line_no, col))
+            out.append(Token(m.group("op"), m.group("op"), line_no, start))
         pos = m.end()
-    out.append(Token("end", "", line_no, len(text) + 1))
+    out.append(Token("end", "", line_no, col + len(text)))
     return out
 
 
@@ -288,9 +291,11 @@ def parse_expression(
     names: Sequence[str],
     params: Sequence[str] = (),
     line_no: int = 1,
+    col: int = 1,
 ) -> LatticePoly:
-    """Parse one polynomial expression against known component names."""
-    return _ExprParser(_tokenize(text, line_no), names, params).parse_poly()
+    """Parse one polynomial expression against known component names;
+    text starts at column col of line line_no."""
+    return _ExprParser(_tokenize(text, line_no, col), names, params).parse_poly()
 
 
 def parse_operator_entry(
@@ -298,9 +303,10 @@ def parse_operator_entry(
     names: Sequence[str],
     params: Sequence[str] = (),
     line_no: int = 1,
+    col: int = 1,
 ) -> OpEntry:
     return _ExprParser(
-        _tokenize(text, line_no), names, params, operators=True
+        _tokenize(text, line_no, col), names, params, operators=True
     ).parse_entry()
 
 
@@ -369,8 +375,8 @@ def parse_system(text: str) -> DdeSystem:
 
     rhs: list[LatticePoly | None] = [None] * len(names)
     index = {n: i for i, n in enumerate(names)}
-    for name, rhs_text, ln, _col in equations:
-        p = parse_expression(rhs_text, names, params, line_no=ln)
+    for name, rhs_text, ln, col in equations:
+        p = parse_expression(rhs_text, names, params, line_no=ln, col=col)
         if p.has_negative_exponent():
             raise ParseError(
                 "non-polynomial right-hand side (division by a variable)", ln, 1
@@ -410,8 +416,9 @@ _ASSIGN_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.*)$")
 _MATRIX_RE = re.compile(r"^\s*R\s*\[\s*(\d+)\s*\]\s*\[\s*(\d+)\s*\]\s*=\s*(.*)$")
 
 
-def parse_assignments(text: str) -> list[tuple[str, str, int]]:
-    """key = expression lines with comments stripped; returns (key, rhs, line)."""
+def parse_assignments(text: str) -> list[tuple[str, str, int, int]]:
+    """key = expression lines with comments stripped; returns (key, rhs,
+    line, column of rhs)."""
     out = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].rstrip()
@@ -420,7 +427,7 @@ def parse_assignments(text: str) -> list[tuple[str, str, int]]:
         m = _ASSIGN_RE.match(stripped)
         if not m:
             raise ParseError("expected key = expression", ln, 1)
-        out.append((m.group(1), m.group(2), ln))
+        out.append((m.group(1), m.group(2), ln, m.start(2) + 1))
     return out
 
 
@@ -444,5 +451,7 @@ def parse_operator_matrix(
         if (i, j) in seen:
             raise ParseError(f"duplicate entry R[{i + 1}][{j + 1}]", ln, 1)
         seen.add((i, j))
-        entries[i][j] = parse_operator_entry(m.group(3), names, params, line_no=ln)
+        entries[i][j] = parse_operator_entry(
+            m.group(3), names, params, line_no=ln, col=m.start(3) + 1
+        )
     return DiffOperator(entries)

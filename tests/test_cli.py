@@ -194,6 +194,22 @@ class TestDiagnostics:
         assert code == 1
         assert "2:" in err
 
+    def test_expression_columns_count_from_line_start(self, capsys, tmp_path):
+        p = tmp_path / "bad.dde"
+        p.write_text("u' = u[0]\nv' = u[0] + w[3]\n")
+        code, out, err = run(capsys, "weights", str(p))
+        assert code == 1 and out == ""
+        assert err.startswith("parse error: 2:13: unknown component 'w'")
+
+    def test_certificate_columns_count_from_line_start(
+        self, capsys, tmp_path, toda_file
+    ):
+        f = tmp_path / "cert.txt"
+        f.write_text("rho = u[0] + q[1]\nflux = v[0]\n")
+        code, out, err = run(capsys, "verify", "--density", str(f), toda_file)
+        assert code == 1 and out == ""
+        assert "1:14: unknown component 'q'" in err
+
     def test_operator_file_with_two_nonlocal_factors(self, tmp_path, toda_file):
         f = tmp_path / "op.txt"
         f.write_text(
@@ -206,7 +222,8 @@ class TestDiagnostics:
             text=True,
         )
         assert proc.returncode == 1
-        assert proc.stderr.startswith("parse error: 4:3: composition of two")
+        # the second S is at column 13 of the line
+        assert proc.stderr.startswith("parse error: 4:13: composition of two")
         assert "Traceback" not in proc.stderr and proc.stdout == ""
 
     @pytest.mark.parametrize(

@@ -8,6 +8,9 @@ cross-process determinism (set and dict iteration order).  The files in
     PYTHONPATH=src python -m lik <args> > tests/golden/<name>.json
 
 only when a report is meant to change.
+
+The commands on parametric systems (the classification reports) run once
+more with sympy blocked, so that no part of a report depends on it.
 """
 
 import os
@@ -20,6 +23,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 HASH_SEEDS = ("0", "4021")
+PARAM_TODA = "systems/parameterized_toda.dde"
+PARAM_VOLTERRA = "perfbench/systems/parameterized_volterra.dde"
 
 CASES = [
     ("toda-densities-6", 0, ("densities", "--max-rank", "6", "systems/toda.dde")),
@@ -28,17 +33,34 @@ CASES = [
     ("toda-recursion", 0, ("recursion", "systems/toda.dde")),
     ("volterra-recursion", 0, ("recursion", "systems/volterra.dde")),
     ("broken-toda-recursion", 2, ("recursion", "systems/broken_toda.dde")),
+    ("param-toda-symmetries-3-4", 0, ("symmetries", "--ranks", "3,4", PARAM_TODA)),
+    ("param-toda-densities-3", 0, ("densities", "--max-rank", "3", PARAM_TODA)),
+    ("param-toda-densities-6", 0, ("densities", "--max-rank", "6", PARAM_TODA)),
+    ("param-toda-symmetries-2", 0, ("symmetries", "--levels", "2", PARAM_TODA)),
     (
-        "param-toda-symmetries-3-4",
+        "param-volterra-densities-5",
         0,
-        ("symmetries", "--ranks", "3,4", "systems/parameterized_toda.dde"),
+        ("densities", "--max-rank", "5", PARAM_VOLTERRA),
     ),
     (
-        "param-toda-densities-3",
+        "param-volterra-symmetries-3",
         0,
-        ("densities", "--max-rank", "3", "systems/parameterized_toda.dde"),
+        ("symmetries", "--levels", "3", PARAM_VOLTERRA),
     ),
 ]
+CLASSIFICATION = [case for case in CASES if case[0].startswith("param-")]
+
+# python -c prelude: every later "import sympy" raises ImportError
+NO_SYMPY = (
+    "import sys; sys.modules['sympy'] = None; "
+    "from lik.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+def _env(**extra):
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else ""), **extra}
 
 
 @pytest.mark.parametrize(
@@ -48,14 +70,11 @@ def test_report_matches_golden(name, exit_code, args):
     expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     command, *rest = args
     argv = [sys.executable, "-m", "lik", command, "--json", *rest]
-    src = str(ROOT / "src")
-    path = os.environ.get("PYTHONPATH")
-    base_env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     procs = [
         subprocess.Popen(
             argv,
             cwd=ROOT,
-            env={**base_env, "PYTHONHASHSEED": seed},
+            env=_env(PYTHONHASHSEED=seed),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
@@ -66,3 +85,21 @@ def test_report_matches_golden(name, exit_code, args):
         out, err = proc.communicate(timeout=120)
         assert proc.returncode == exit_code, f"PYTHONHASHSEED={seed}: {err}"
         assert out == expected, f"PYTHONHASHSEED={seed}: report differs"
+
+
+@pytest.mark.parametrize(
+    "name, exit_code, args", CLASSIFICATION, ids=[c[0] for c in CLASSIFICATION]
+)
+def test_report_without_sympy(name, exit_code, args):
+    expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    command, *rest = args
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SYMPY, command, "--json", *rest],
+        cwd=ROOT,
+        env=_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == exit_code, proc.stderr
+    assert proc.stdout == expected
