@@ -70,7 +70,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _render_eq_condition(pc: ParamCoeff) -> str:
+def _render_condition(pc: ParamCoeff, rel: str) -> str:
+    """pc rel 0, or p rel value when pc is linear in its one parameter p
+    with rational coefficients."""
     params = sorted(pc.parameters())
     if len(params) == 1:
         p = params[0]
@@ -79,21 +81,8 @@ def _render_eq_condition(pc: ParamCoeff) -> str:
             h = pc.coeff_of(p, 0)
             if g.is_rational and h.is_rational:
                 val = -h.as_fraction() / g.as_fraction()
-                return f"{p} = {val}"
-    return f"{pc.render()} = 0"
-
-
-def _render_neq_condition(pc: ParamCoeff) -> str:
-    params = sorted(pc.parameters())
-    if len(params) == 1:
-        p = params[0]
-        if pc.degree_in(p) == 1:
-            g = pc.coeff_of(p, 1)
-            h = pc.coeff_of(p, 0)
-            if g.is_rational and h.is_rational:
-                val = -h.as_fraction() / g.as_fraction()
-                return f"{p} != {val}"
-    return f"{pc.render()} != 0"
+                return f"{p} {rel} {val}"
+    return f"{pc.render()} {rel} 0"
 
 
 class Report:
@@ -133,7 +122,7 @@ class Report:
                 "flux_decomposition": render_poly(r.flux_decomposition, self.names),
                 "normalization": r.normalization,
                 "conditions": [
-                    _render_eq_condition(c) for c in r.eq_conditions
+                    _render_condition(c, "=") for c in r.eq_conditions
                 ],
             }
         )
@@ -147,7 +136,7 @@ class Report:
                     for n, c in zip(self.names, r.components)
                 },
                 "conditions": [
-                    _render_eq_condition(c) for c in r.eq_conditions
+                    _render_condition(c, "=") for c in r.eq_conditions
                 ],
             }
         )
@@ -164,10 +153,10 @@ class Report:
                 {
                     "subject": subject,
                     "assumptions": [
-                        _render_eq_condition(c) for c in br.eq_conditions
+                        _render_condition(c, "=") for c in br.eq_conditions
                     ],
                     "nonzero": [
-                        _render_neq_condition(c) for c in br.neq_conditions
+                        _render_condition(c, "!=") for c in br.neq_conditions
                     ],
                     "outcome": outcome,
                 }

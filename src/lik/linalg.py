@@ -3,9 +3,11 @@
 Systems are homogeneous with entries polynomial in declared parameters.
 They are assembled column by column: each unknown contributes the
 polynomial slots of the defining identity it multiplies, and every
-monomial of a slot gives one row.  One solver, parametric_solve, handles
-every system; a parameter-free one comes back as a single unconditional
-branch.
+monomial of a slot gives one row.  LinearSystem.rows is the dense form,
+one entry per unknown, only at this boundary; the solver turns it into
+sparse {column: entry} rows and works on those throughout.  One solver,
+parametric_solve, handles every system; a parameter-free one comes back
+as a single unconditional branch.
 
 Every matrix whose entries are all rational -- a parameter-free system,
 or a branch whose parameters have been substituted away -- is solved by
@@ -14,14 +16,18 @@ nullspace basis read off the reduced row echelon form.  The pivot row of
 each column is the sparsest candidate; since the RREF is unique for a
 fixed column order, that choice changes only the speed.
 
-A matrix that still holds a parameter entry is eliminated fraction free
-(cross multiplication with content removal).  Whenever no invertible
-pivot is available the solver splits cases on the irreducible factors of
-a chosen pivot (exact factorization over Z by lik.factor, memoized per
-process): one generic branch assuming every factor nonzero, and one
-branch per factor forced to zero (resolved by substituting the factor's
-solution for a parameter).  Declared parameters themselves are assumed
-nonzero throughout, so pure parameter monomials never trigger a split.
+A matrix with a parameter entry is normalized once where it enters
+elimination: each row is divided by its rational content and common
+parameter-monomial factor, and repeated rows are dropped.  That may make
+it rational (a row a*(u - v) becomes u - v); otherwise it is eliminated
+fraction free (cross multiplication with normalization).  Whenever no
+invertible pivot is available the solver splits cases on the irreducible
+factors of a chosen pivot (exact factorization over Z by lik.factor,
+memoized per process): one generic branch assuming every factor nonzero,
+and one branch per factor forced to zero (resolved by substituting the
+factor's solution for a parameter).  Declared parameters themselves are
+assumed nonzero throughout, so pure parameter monomials never trigger a
+split.
 """
 
 from __future__ import annotations
@@ -30,10 +36,14 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .expr import LatticeMonomial, LatticePoly, term_key
-from .params import ParamCoeff, PMono
+from .params import ParamCoeff
+
+# A sparse row: column index -> nonzero entry.
+Row = dict[int, ParamCoeff]
 
 
 class LinearSolveError(ValueError):
@@ -42,7 +52,8 @@ class LinearSolveError(ValueError):
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Homogeneous system: ordered unknown tags and rows tag -> coefficient."""
+    """Homogeneous system: ordered unknown tags and dense rows, one
+    coefficient per unknown."""
 
     unknowns: tuple[str, ...]
     rows: tuple[tuple[ParamCoeff, ...], ...]
@@ -53,21 +64,17 @@ class LinearSystem:
         unknowns: Sequence[str],
         sparse_rows: Iterable[dict[str, ParamCoeff]],
     ) -> "LinearSystem":
+        """Place each row's entries in unknown order; rows without a nonzero
+        entry are dropped.  Normalization is the solver's."""
         index = {t: i for i, t in enumerate(unknowns)}
+        zero = ParamCoeff.zero()
         dense: list[tuple[ParamCoeff, ...]] = []
-        seen: set[tuple] = set()
         for row in sparse_rows:
-            vec = [ParamCoeff.zero()] * len(unknowns)
+            vec = [zero] * len(unknowns)
             for t, c in row.items():
                 vec[index[t]] = c
-            vec = _normalize_row(vec)
-            if all(c.is_zero for c in vec):
-                continue
-            key = _row_key(vec)
-            if key in seen:
-                continue
-            seen.add(key)
-            dense.append(tuple(vec))
+            if not all(c.is_zero for c in vec):
+                dense.append(tuple(vec))
         return cls(tuple(unknowns), tuple(dense))
 
     @classmethod
@@ -78,14 +85,6 @@ class LinearSystem:
     ) -> "LinearSystem":
         """The system whose rows column_rows emits."""
         return cls.build(unknowns, column_rows(unknowns, columns))
-
-    @property
-    def parameters(self) -> set[str]:
-        out: set[str] = set()
-        for row in self.rows:
-            for c in row:
-                out |= c.parameters()
-        return out
 
 
 @dataclass(frozen=True)
@@ -136,49 +135,67 @@ def column_rows(
     return sparse
 
 
-def _normalize_row(vec: list[ParamCoeff]) -> list[ParamCoeff]:
-    """Divide by rational content and common parameter-monomial factor, and
-    fix the sign of the first nonzero leading coefficient."""
-    nz = [c for c in vec if not c.is_zero]
-    if not nz:
-        return vec
-    content = Fraction(0)
-    from math import gcd
+def _sparse(rows: Iterable[Sequence[ParamCoeff]]) -> list[Row]:
+    return [{j: c for j, c in enumerate(row) if not c.is_zero} for row in rows]
 
+
+def _is_rational(matrix: Iterable[Row]) -> bool:
+    return all(c.is_rational for row in matrix for c in row.values())
+
+
+def _normalize_row(row: Row) -> Row:
+    """Divide by rational content and common parameter-monomial factor, and
+    make the leading coefficient of the first entry positive."""
+    if not row:
+        return row
     num, den = 0, 1
-    for c in nz:
-        f = c.content()
-        num = gcd(num, abs(f.numerator))
-        den = den * f.denominator // gcd(den, f.denominator)
-    content = Fraction(num, den)
     mono: dict[str, int] | None = None
-    for c in nz:
-        mc = dict(c.monomial_content())
-        if mono is None:
-            mono = mc
-        else:
-            mono = {n: min(e, mc.get(n, 0)) for n, e in mono.items() if n in mc}
-        if not mono:
-            break
-    inv_mono: PMono = tuple(sorted((n, -e) for n, e in (mono or {}).items() if e > 0))
-    scale = ParamCoeff({inv_mono: Fraction(1) / content})
-    out = [c if c.is_zero else c * scale for c in vec]
-    for c in out:
-        if not c.is_zero:
-            _, lead = c.leading()
-            if lead < 0:
-                out = [x if x.is_zero else -x for x in out]
-            break
+    for c in row.values():
+        f = c.content()
+        num = gcd(num, f.numerator)
+        den = lcm(den, f.denominator)
+        if mono is None or mono:
+            mc = dict(c.monomial_content())
+            mono = mc if mono is None else {
+                n: min(e, mc[n]) for n, e in mono.items() if n in mc
+            }
+    inv_mono = tuple(sorted((n, -e) for n, e in mono.items()))
+    scale = ParamCoeff({inv_mono: Fraction(den, num)})
+    if (row[min(row)] * scale).leading()[1] < 0:
+        scale = -scale
+    return {j: c * scale for j, c in row.items()}
+
+
+def _normalized_rows(matrix: Iterable[Row]) -> list[Row]:
+    """Every nonempty row normalized, repeats dropped, first occurrences
+    kept in order."""
+    out: list[Row] = []
+    seen: set[frozenset] = set()
+    for row in matrix:
+        if row:
+            row = _normalize_row(row)
+            key = frozenset(row.items())
+            if key not in seen:
+                seen.add(key)
+                out.append(row)
     return out
 
 
-def _row_key(vec: Sequence[ParamCoeff]) -> tuple:
-    return tuple(tuple(sorted(c._terms.items())) for c in vec)
+def _prepared(matrix: list[Row]) -> tuple[list[Row], bool]:
+    """The matrix as elimination takes it, and whether it is all rational.
+
+    A rational matrix goes to the kernel as it is: duplicate and scaled
+    rows do not change its RREF.  Any other is normalized, which may make
+    it rational.
+    """
+    if _is_rational(matrix):
+        return matrix, True
+    matrix = _normalized_rows(matrix)
+    return matrix, _is_rational(matrix)
 
 
 def _normalize_factor(pc: ParamCoeff) -> ParamCoeff:
-    vec = _normalize_row([pc])
-    return vec[0]
+    return pc if pc.is_zero else _normalize_row({0: pc})[0]
 
 
 def _factor_irreducible(pc: ParamCoeff) -> list[ParamCoeff]:
@@ -204,13 +221,7 @@ def _factors_of_normalized(pc: ParamCoeff) -> tuple[ParamCoeff, ...]:
 # -- the rational kernel --------------------------------------------------------
 
 
-def _is_rational(matrix: Iterable[Sequence[ParamCoeff]]) -> bool:
-    return all(c.is_rational for row in matrix for c in row)
-
-
-def _rational_nullspace(
-    unknowns: Sequence[str], matrix: Iterable[Sequence[ParamCoeff]]
-) -> SolveOutcome:
+def _rational_nullspace(unknowns: Sequence[str], matrix: Iterable[Row]) -> SolveOutcome:
     """Nullspace basis of an all-rational matrix by sparse Gauss-Jordan
     elimination on {column: Fraction} rows, columns in unknown order.
 
@@ -222,9 +233,10 @@ def _rational_nullspace(
     # column with the sparsest row of the bucket as pivot
     by_lead: dict[int, list[dict[int, Fraction]]] = {}
     for row in matrix:
-        vec = {j: c.as_fraction() for j, c in enumerate(row) if not c.is_zero}
-        if vec:
-            by_lead.setdefault(min(vec), []).append(vec)
+        if row:
+            by_lead.setdefault(min(row), []).append(
+                {j: c.as_fraction() for j, c in row.items()}
+            )
     pivots: dict[int, dict[int, Fraction]] = {}  # column -> row, entry 1
     for col in range(len(unknowns)):
         bucket = by_lead.pop(col, None)
@@ -281,10 +293,10 @@ class _ParametricSolver:
         self.unknowns = unknowns
         self.results: list[Branch] = []
 
-    # matrix rows are tuples of ParamCoeff, one entry per unknown.  subs
-    # accumulates the parameter assignments p := num/den made along the
-    # branch; the reported equality conditions are the cleared per-parameter
-    # equations den*p - num = 0, which present the branch locus canonically.
+    # matrices are lists of sparse rows.  subs accumulates the parameter
+    # assignments p := num/den made along the branch; the reported equality
+    # conditions are the cleared per-parameter equations den*p - num = 0,
+    # which present the branch locus canonically.
 
     def _conditions(
         self,
@@ -300,6 +312,10 @@ class _ParametricSolver:
             if not f.is_zero and all(f != g for g in conds):
                 conds.append(f)
         return tuple(conds)
+
+    def _unresolved(self, subs, neqs, status: str, extra=()) -> None:
+        """Report a branch that cannot be solved, with the reason."""
+        self.results.append(Branch(self._conditions(subs, extra), neqs, None, status))
 
     @staticmethod
     def _update_subs(
@@ -320,7 +336,7 @@ class _ParametricSolver:
 
     def solve(
         self,
-        matrix: list[list[ParamCoeff]],
+        matrix: list[Row],
         subs: dict[str, tuple[ParamCoeff, ParamCoeff]],
         neqs: tuple[ParamCoeff, ...],
         pending: list[ParamCoeff],
@@ -328,13 +344,14 @@ class _ParametricSolver:
     ) -> None:
         if pending:
             self._resolve_pending(matrix, subs, neqs, pending, depth)
-        elif _is_rational(matrix):
+            return
+        matrix, rational = _prepared(matrix)
+        if rational:
             self.results.append(
                 Branch(
                     self._conditions(subs),
                     neqs,
                     _rational_nullspace(self.unknowns, matrix),
-                    "solved",
                 )
             )
         else:
@@ -348,81 +365,44 @@ class _ParametricSolver:
             return
         if f.is_rational or f.is_unit_monomial():
             return  # contradiction: nonzero quantity required to vanish
-        factors = _factor_irreducible(f)
         if depth <= 0:
-            self.results.append(
-                Branch(
-                    self._conditions(subs, [f]),
-                    neqs,
-                    None,
-                    f"branch depth exhausted at {f.render()} = 0",
-                )
+            self._unresolved(
+                subs, neqs, f"branch depth exhausted at {f.render()} = 0", [f]
             )
             return
-        for fac in factors:
+        for fac in _factor_irreducible(f):
             self._apply_equation(matrix, fac, subs, neqs, rest, depth - 1)
 
     def _apply_equation(self, matrix, fac, subs, neqs, pending, depth) -> None:
         """Impose fac = 0 by solving it for one parameter and substituting."""
         if any(fac == g for g in neqs):
             return  # contradicts a nonzero assumption on this branch
-        linear = [p for p in sorted(fac.parameters()) if fac.degree_in(p) == 1]
-        choice = None
-        for p in linear:
-            g = fac.coeff_of(p, 1)
-            if g.is_rational:
-                choice = (p, g, 0)
-                break
-        if choice is None:
-            for p in linear:
-                g = fac.coeff_of(p, 1)
-                if g.is_unit_monomial():
-                    choice = (p, g, 1)
-                    break
-        if choice is None and linear:
-            choice = (linear[0], fac.coeff_of(linear[0], 1), 2)
-        if choice is None:
-            self.results.append(
-                Branch(
-                    self._conditions(subs, [fac] + list(pending)),
-                    neqs,
-                    None,
-                    f"unresolved condition: cannot solve {fac.render()} = 0 "
-                    "for a parameter",
-                )
+        linear = {
+            p: fac.coeff_of(p, 1)
+            for p in sorted(fac.parameters())
+            if fac.degree_in(p) == 1
+        }
+        if not linear:
+            self._unresolved(
+                subs,
+                neqs,
+                f"unresolved condition: cannot solve {fac.render()} = 0 "
+                "for a parameter",
+                [fac, *pending],
             )
             return
-
-        p, g, kind = choice
-        h = fac.coeff_of(p, 0)
-        if kind == 0:
-            # fac = g*p + h with rational g: substitute p := -h/g.
-            value = h.scale(Fraction(-1) / g.as_fraction())
-            sub = {p: value}
-            new_matrix = [
-                [c.substitute(sub) for c in row] for row in matrix
-            ]
-            new_pending = [q.substitute(sub) for q in pending]
-            new_neqs = []
-            for q in neqs:
-                q2 = _normalize_factor(q.substitute(sub))
-                if q2.is_zero:
-                    return  # nonzero assumption violated: empty branch
-                new_neqs.append(q)
-            new_subs = self._update_subs(subs, p, value, ParamCoeff.one())
-            self.solve(new_matrix, new_subs, tuple(new_neqs), new_pending, depth)
-            return
-        if kind == 2 and not g.is_unit_monomial():
-            # leading coefficient may vanish: split g = 0 (then also h = 0)
-            # from g != 0 (then substitute with clearing).
+        # fac = g*p + h: prefer a rational g, then a parameter monomial, as
+        # neither can vanish
+        p = min(
+            linear,
+            key=lambda q: (not linear[q].is_rational, not linear[q].is_unit_monomial()),
+        )
+        g, h = linear[p], fac.coeff_of(p, 0)
+        if not g.is_unit_monomial():
+            # g may vanish: split g = 0 (then also h = 0) from g != 0
             if depth <= 0:
-                self.results.append(
-                    Branch(
-                        self._conditions(subs, [fac]),
-                        neqs,
-                        None,
-                        f"branch depth exhausted at {fac.render()} = 0",
-                    )
+                self._unresolved(
+                    subs, neqs, f"branch depth exhausted at {fac.render()} = 0", [fac]
                 )
                 return
             gfactors = _factor_irreducible(g)
@@ -430,170 +410,132 @@ class _ParametricSolver:
                 self._apply_equation(
                     matrix, gf, subs, neqs, pending + [fac, h], depth - 1
                 )
-            neq_plus = neqs + tuple(f for f in gfactors if all(f != x for x in neqs))
-            self._substitute_cleared(
-                matrix, p, g, h, subs, neq_plus, pending, depth
-            )
-            return
+            neqs = neqs + tuple(f for f in gfactors if all(f != x for x in neqs))
         self._substitute_cleared(matrix, p, g, h, subs, neqs, pending, depth)
 
     def _substitute_cleared(
         self, matrix, p, g, h, subs, neqs, pending, depth
     ) -> None:
-        # p := -h/g with polynomial g assumed nonzero; each row is scaled by
-        # a power of g, which preserves the homogeneous equations.
+        # p := -h/g with g assumed nonzero; each row is scaled by a power
+        # of g, which preserves the homogeneous equations (a rational g is
+        # a constant scale, which normalization removes).
         num = -h
+        if any(q.substitute_cleared(p, num, g, q.degree_in(p)).is_zero for q in neqs):
+            return  # nonzero assumption violated: empty branch
         new_matrix = []
         for row in matrix:
-            d = max((c.degree_in(p) for c in row), default=0)
-            new_matrix.append([c.substitute_cleared(p, num, g, d) for c in row])
+            d = max((c.degree_in(p) for c in row.values()), default=0)
+            if d:
+                row = {j: c.substitute_cleared(p, num, g, d) for j, c in row.items()}
+                row = {j: c for j, c in row.items() if not c.is_zero}
+            new_matrix.append(row)
         new_pending = [
             q.substitute_cleared(p, num, g, q.degree_in(p)) for q in pending
         ]
-        new_neqs = []
-        for q in neqs:
-            q2 = _normalize_factor(q.substitute_cleared(p, num, g, q.degree_in(p)))
-            if q2.is_zero:
-                return
-            new_neqs.append(q)
         new_subs = self._update_subs(subs, p, num, g)
-        self.solve(new_matrix, new_subs, tuple(new_neqs), new_pending, depth)
+        self.solve(new_matrix, new_subs, neqs, new_pending, depth)
 
     # -- elimination ------------------------------------------------------
 
     def _invertible(self, c: ParamCoeff, neqs) -> bool:
-        if c.is_rational:
-            return not c.is_zero
-        if c.is_unit_monomial():
+        if c.is_rational or c.is_unit_monomial():
             return True
         factors = _factor_irreducible(c)
         return bool(factors) and all(any(f == g for g in neqs) for f in factors)
 
-    def _eliminate(self, matrix, subs, neqs, depth) -> None:
-        rows: list[list[ParamCoeff]] = []
-        seen: set[tuple] = set()
-        for row in matrix:
-            vec = _normalize_row(list(row))
-            if all(c.is_zero for c in vec):
-                continue
-            key = _row_key(vec)
-            if key not in seen:
-                seen.add(key)
-                rows.append(vec)
-
-        ncols = len(self.unknowns)
+    def _eliminate(self, rows: list[Row], subs, neqs, depth) -> None:
+        """Fraction-free Gauss-Jordan elimination on normalized rows."""
         pivot_rows: list[tuple[int, int]] = []  # (row index, col)
         used: set[int] = set()
-        for col in range(ncols):
-            # prefer rational pivots, then parameter-monomial pivots
-            cand = None
-            for want_rational in (True, False):
-                for ri, row in enumerate(rows):
-                    if ri in used or row[col].is_zero:
-                        continue
-                    if row[col].is_rational is want_rational and self._invertible(
-                        row[col], neqs
-                    ):
-                        cand = ri
-                        break
-                if cand is not None:
-                    break
+        for col in range(len(self.unknowns)):
+            live = [ri for ri, row in enumerate(rows) if col in row and ri not in used]
+            if not live:
+                continue  # free column
+            # prefer rational pivots, then other invertible ones
+            cand = next((ri for ri in live if rows[ri][col].is_rational), None)
             if cand is None:
-                nonzero = [
-                    ri for ri, row in enumerate(rows)
-                    if ri not in used and not row[col].is_zero
-                ]
-                if not nonzero:
-                    continue  # free column
+                cand = next(
+                    (ri for ri in live if self._invertible(rows[ri][col], neqs)), None
+                )
+            if cand is None:
                 # branch on the structurally simplest pivot in this column
                 ri = min(
-                    nonzero,
-                    key=lambda k: (
-                        rows[k][col].total_degree(),
-                        rows[k][col].render(),
-                    ),
+                    live,
+                    key=lambda k: (rows[k][col].total_degree(), rows[k][col].render()),
                 )
                 pivot = rows[ri][col]
-                factors = _factor_irreducible(pivot)
                 if depth <= 0:
-                    self.results.append(
-                        Branch(self._conditions(subs), neqs, None,
-                               f"branch depth exhausted at pivot {pivot.render()}")
+                    self._unresolved(
+                        subs, neqs, f"branch depth exhausted at pivot {pivot.render()}"
                     )
                     return
-                neq_plus = neqs + tuple(
-                    f for f in factors if all(f != x for x in neqs)
-                )
-                self.solve([list(r) for r in rows], subs, neq_plus, [], depth - 1)
+                factors = _factor_irreducible(pivot)
+                neq_plus = neqs + tuple(f for f in factors if all(f != x for x in neqs))
+                self.solve(rows, subs, neq_plus, [], depth - 1)
                 for fac in factors:
-                    self._apply_equation(
-                        [list(r) for r in rows], fac, subs, neqs, [], depth - 1
-                    )
+                    self._apply_equation(rows, fac, subs, neqs, [], depth - 1)
                 return
-            # fraction-free Gauss-Jordan step on every other row
-            piv = rows[cand][col]
+            prow = rows[cand]
+            piv = prow[col]
             for ri, row in enumerate(rows):
-                if ri == cand or row[col].is_zero:
-                    continue
-                fac = row[col]
-                rows[ri] = _normalize_row(
-                    [piv * a - fac * b for a, b in zip(row, rows[cand])]
-                )
+                if ri != cand and col in row:
+                    rows[ri] = _normalize_row(_cross(piv, row, row[col], prow))
             used.add(cand)
             pivot_rows.append((cand, col))
-
         self.results.append(
-            Branch(
-                self._conditions(subs),
-                neqs,
-                self._extract_basis(rows, pivot_rows),
-                "solved",
-            )
+            Branch(self._conditions(subs), neqs, self._extract_basis(rows, pivot_rows))
         )
 
-    def _extract_basis(self, rows, pivot_rows) -> SolveOutcome:
-        ncols = len(self.unknowns)
-        pivot_cols = {col for _, col in pivot_rows}
-        free_cols = [c for c in range(ncols) if c not in pivot_cols]
-        basis: list[dict[str, ParamCoeff]] = []
-        for fc in free_cols:
-            # clear denominators with the product of all pivots
-            pivots = {col: rows[ri][col] for ri, col in pivot_rows}
-            total = ParamCoeff.one()
+    def _extract_basis(self, rows: list[Row], pivot_rows) -> SolveOutcome:
+        # clear denominators with the product of all pivots
+        pivots = {col: rows[ri][col] for ri, col in pivot_rows}
+
+        @functools.cache
+        def product_without(skip: int | None) -> ParamCoeff:
+            out = ParamCoeff.one()
             for col in sorted(pivots):
-                total = total * pivots[col]
-            vec = [ParamCoeff.zero()] * ncols
-            vec[fc] = total
+                if col != skip:
+                    out = out * pivots[col]
+            return out
+
+        total = product_without(None)
+        basis: list[dict[str, ParamCoeff]] = []
+        for fc in range(len(self.unknowns)):
+            if fc in pivots:
+                continue
+            vec = {fc: total}
             for ri, col in pivot_rows:
-                if rows[ri][fc].is_zero:
-                    continue
-                others = ParamCoeff.one()
-                for c2 in sorted(pivots):
-                    if c2 != col:
-                        others = others * pivots[c2]
-                vec[col] = -rows[ri][fc] * others
+                if fc in rows[ri]:
+                    vec[col] = -rows[ri][fc] * product_without(col)
             vec = _normalize_row(vec)
-            if all(c.is_rational for c in vec):
-                val = vec[fc].as_fraction()
-                if val != 0:
-                    vec = [c.scale(Fraction(1) / val) for c in vec]
-            basis.append(
-                {
-                    self.unknowns[i]: c
-                    for i, c in enumerate(vec)
-                    if not c.is_zero
-                }
-            )
+            if _is_rational([vec]):
+                k = 1 / vec[fc].as_fraction()
+                vec = {j: c.scale(k) for j, c in vec.items()}
+            basis.append({self.unknowns[j]: vec[j] for j in sorted(vec)})
         return SolveOutcome(tuple(basis))
 
 
+def _cross(a: ParamCoeff, row: Row, b: ParamCoeff, other: Row) -> Row:
+    """a*row - b*other with zero entries dropped."""
+    out = {j: a * c for j, c in row.items()}
+    for j, c in other.items():
+        v = out[j] - b * c if j in out else -(b * c)
+        if v.is_zero:
+            del out[j]
+        else:
+            out[j] = v
+    return out
+
+
 def nullspace(system: LinearSystem) -> SolveOutcome:
-    """Nullspace basis of a parameter-free system over the rationals."""
-    if not _is_rational(system.rows):
+    """Nullspace basis of a system that is rational once its rows are
+    normalized."""
+    rows, rational = _prepared(_sparse(system.rows))
+    if not rational:
         raise LinearSolveError(
             "nullspace requires rational entries; use parametric_solve"
         )
-    return _rational_nullspace(system.unknowns, system.rows)
+    return _rational_nullspace(system.unknowns, rows)
 
 
 def parametric_solve(system: LinearSystem, max_depth: int = 6) -> list[Branch]:
@@ -605,7 +547,7 @@ def parametric_solve(system: LinearSystem, max_depth: int = 6) -> list[Branch]:
     unresolvable branches are reported with outcome None, never silently.
     """
     solver = _ParametricSolver(system.unknowns)
-    solver.solve([list(r) for r in system.rows], {}, (), [], max_depth)
+    solver.solve(_sparse(system.rows), {}, (), [], max_depth)
     # deterministic order: by conditions, generic (fewest equalities) first
     def branch_key(b: Branch):
         return (

@@ -35,6 +35,7 @@ from .expr import (
     term_key,
 )
 from .linalg import (
+    LinearSolveError,
     LinearSystem,
     column_rows,
     fresh_tags,
@@ -418,8 +419,9 @@ def solve_recursion(
             rows.extend(pair_rows(k))
         for s in range(min(npairs + gap, len(symmetries))):
             rows.extend(probe_rows(s))
-        system = LinearSystem.build(unknowns, rows)
-        if system.parameters:
+        try:
+            outcome = nullspace(LinearSystem.build(unknowns, rows))
+        except LinearSolveError:
             return RecursionOutcome(
                 None,
                 candidate=cand,
@@ -427,7 +429,6 @@ def solve_recursion(
                 message="parameterized coefficient system: pin the system "
                 "parameters to rationals first",
             )
-        outcome = nullspace(system)
         last_dim = outcome.dimension
         if outcome.dimension == 0:
             return RecursionOutcome(

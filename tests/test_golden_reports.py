@@ -25,6 +25,8 @@ GOLDEN = ROOT / "tests" / "golden"
 HASH_SEEDS = ("0", "4021")
 PARAM_TODA = "systems/parameterized_toda.dde"
 PARAM_VOLTERRA = "perfbench/systems/parameterized_volterra.dde"
+# recursion on it needs each row divided by its parameter-monomial factor
+SCALED_VOLTERRA = "tests/golden/scaled_volterra.dde"
 
 CASES = [
     ("toda-densities-6", 0, ("densities", "--max-rank", "6", "systems/toda.dde")),
@@ -47,6 +49,7 @@ CASES = [
         0,
         ("symmetries", "--levels", "3", PARAM_VOLTERRA),
     ),
+    ("param-scaled-volterra-recursion", 0, ("recursion", SCALED_VOLTERRA)),
 ]
 CLASSIFICATION = [case for case in CASES if case[0].startswith("param-")]
 

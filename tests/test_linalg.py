@@ -74,6 +74,29 @@ class TestNullspace:
         with pytest.raises(LinearSolveError):
             nullspace(sys)
 
+    def test_duplicate_and_scaled_rows_give_the_same_basis(self):
+        # a row, its copy, its multiples by -2/3 and by a parameter monomial:
+        # the last makes the entries parametric until the row is normalized
+        a = ParamCoeff.param("a")
+        row = {"c1": R(3), "c2": R(-1), "c4": R(2)}
+        other = {"c2": R(1), "c3": R(-1)}
+        unknowns = ("c1", "c2", "c3", "c4")
+        plain = nullspace(LinearSystem.build(unknowns, [row, other]))
+        repeated = nullspace(
+            LinearSystem.build(
+                unknowns,
+                [
+                    row,
+                    {t: c.scale(Fraction(-2, 3)) for t, c in row.items()},
+                    other,
+                    dict(row),
+                    {t: c * a * a for t, c in other.items()},
+                ],
+            )
+        )
+        assert plain.dimension == 2
+        assert repeated.basis == plain.basis
+
 
 @st.composite
 def rational_matrices(draw):
@@ -161,8 +184,9 @@ class TestFromColumns:
                 (P("u[0]^2 - u[0]"), P("2*v[0]")),
             ],
         )
-        # slot 0: u[0]^2, u[0]*u[1], u[0]; then slot 1: v[0]
-        assert fractions_of(sys) == [[0, 1], [1, 0], [1, -1], [1, 2]]
+        # slot 0: u[0]^2, u[0]*u[1], u[0]; then slot 1: v[0]; the entries
+        # are the raw coefficients, not normalized
+        assert fractions_of(sys) == [[0, 1], [3, 0], [1, -1], [1, 2]]
 
     def test_shared_monomial_gives_one_row(self):
         sys = LinearSystem.from_columns(
@@ -182,8 +206,10 @@ class TestFromColumns:
         sys = LinearSystem.from_columns(
             ("c1", "c2"), [(P("a*u[0]", ("a",)),), (P("u[0] - v[0]"),)]
         )
-        assert len(sys.rows) == 2
-        assert sys.parameters == {"a"}
+        assert [[c.render() for c in row] for row in sys.rows] == [
+            ["a", "1"],
+            ["0", "-1"],
+        ]
 
     def test_columns_must_have_equal_slot_counts(self):
         with pytest.raises(ValueError):
@@ -281,6 +307,86 @@ class TestParametricSolve:
         ]
         assert first == second
 
+
+
+A = ParamCoeff.param("a")
+
+
+@st.composite
+def parametric_matrices(draw):
+    """(ncols, rows): small rows over Z[a] of degree <= 2, with zero rows
+    and duplicate copies or copies scaled by an integer or by a mixed in."""
+    ncols = draw(st.integers(1, 4))
+    coeffs = st.lists(st.integers(-2, 2), min_size=3, max_size=3)
+    entry = st.one_of(
+        st.just(ParamCoeff.zero()),
+        coeffs.map(lambda k: R(k[0]) + A.scale(k[1]) + (A * A).scale(k[2])),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=4))
+    scales = st.sampled_from([R(1), R(-3), A, -A * A])
+    copies = draw(st.lists(st.tuples(st.integers(0, 3), scales), max_size=2))
+    for k, scale in copies:
+        if rows:
+            rows.append([c * scale for c in rows[k % len(rows)]])
+    return ncols, rows
+
+
+def _value_of_a(cond: ParamCoeff) -> Fraction | None:
+    """The rational a fixed by cond = 0, if cond is linear in a alone."""
+    if cond.parameters() != {"a"} or cond.degree_in("a") != 1:
+        return None
+    g, h = cond.coeff_of("a", 1), cond.coeff_of("a", 0)
+    if not (g.is_rational and h.is_rational):
+        return None
+    return -h.as_fraction() / g.as_fraction()
+
+
+def _check_at(branch, system, value):
+    """Every basis vector annihilates every row at a = value, and there are
+    as many vectors as sympy's nullity of the specialized matrix."""
+    at = {"a": R(value)}
+    rows = [[c.substitute(at).as_fraction() for c in row] for row in system.rows]
+    ncols = len(system.unknowns)
+    flat = [sympy.Rational(v.numerator, v.denominator) for row in rows for v in row]
+    rank = sympy.Matrix(len(rows), ncols, flat).rank() if rows else 0
+    assert branch.outcome.dimension == ncols - rank, f"a = {value}"
+    for vec in branch.outcome.basis:
+        for row in system.rows:
+            resid = evaluate_row(row, system.unknowns, vec)
+            assert resid.substitute(at).is_zero, f"a = {value}"
+
+
+class TestParametricOracle:
+    @given(parametric_matrices())
+    def test_branches_agree_with_sympy_on_specializations(self, matrix):
+        ncols, rows = matrix
+        unknowns = tuple(f"c{k + 1}" for k in range(ncols))
+        system = LinearSystem.build(
+            unknowns,
+            [{t: c for t, c in zip(unknowns, row) if not c.is_zero} for row in rows],
+        )
+        for branch in parametric_solve(system):
+            if branch.outcome is None:
+                continue
+            if not branch.eq_conditions:
+                # generic branch: a few nonzero integers off its != conditions
+                values = [
+                    v
+                    for v in (1, -1, 2, -2, 3, 5, 7, 11)
+                    if all(
+                        not c.substitute({"a": R(v)}).is_zero
+                        for c in branch.neq_conditions
+                    )
+                ][:3]
+                assert values
+            else:
+                fixed = {_value_of_a(c) for c in branch.eq_conditions}
+                if None in fixed:
+                    continue  # a is not fixed to a rational
+                assert len(fixed) == 1
+                values = list(fixed)
+            for v in values:
+                _check_at(branch, system, v)
 
 def test_fresh_tags_avoid_reserved():
     assert fresh_tags(3, ()) == ("c1", "c2", "c3")

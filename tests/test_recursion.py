@@ -243,6 +243,18 @@ class TestPipeline:
         assert outcome.failure_family == "symmetry-chain"
         assert "ambiguous" in outcome.message
 
+    def test_parametric_coefficient_system_reported(self):
+        # Toda with a in one equation only: the recursion rows stay
+        # parametric after normalization, so nullspace rejects them
+        from lik.parser import parse_system
+        from lik.scaling import compute_weights
+
+        s = parse_system("params: a\nu' = a*v[-1] - a*v[0]\nv' = v[0]*(u[0] - u[1])")
+        outcome, _ = recursion_pipeline(s, compute_weights(s), levels=3)
+        assert not outcome.ok
+        assert outcome.failure_family == "coefficient-determination"
+        assert outcome.message.startswith("parameterized coefficient system")
+
 
 class TestOperatorIdentityOnRandomProbes:
     def test_defining_identity_annihilates_everything(self, toda, toda_w, toda_chain):
