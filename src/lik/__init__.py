@@ -18,9 +18,7 @@ from .conservation import (
 from .expr import (
     LatticeMonomial,
     LatticePoly,
-    NotExact,
     VarRef,
-    antidifference,
     canonical_rep,
     delta_decompose,
     partial,
@@ -68,7 +66,6 @@ __all__ = [
     "ExtendedExpr",
     "LatticeMonomial",
     "LatticePoly",
-    "NotExact",
     "OpEntry",
     "ParseError",
     "RecursionOutcome",
@@ -77,7 +74,6 @@ __all__ = [
     "VarRef",
     "WeightFamily",
     "WeightVector",
-    "antidifference",
     "build_density_candidate",
     "build_symmetry_candidate",
     "canonical_rep",

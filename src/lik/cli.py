@@ -35,9 +35,10 @@ from .parser import (
     parse_assignments,
     parse_expression,
     parse_operator_matrix,
+    parse_rational,
     parse_system,
 )
-from .recursion import RecursionOutcome, recursion_pipeline
+from .recursion import RecursionOutcome, identity_residual, recursion_pipeline
 from .scaling import (
     ScalingError,
     WeightFamily,
@@ -48,6 +49,7 @@ from .scaling import (
 from .symmetry import (
     build_symmetry_candidate,
     frechet_operator,
+    level_ranks,
     solve_symmetry,
     symmetry_residual,
 )
@@ -287,38 +289,38 @@ class Report:
 
 def _parse_rational(text: str, positive: bool = False) -> Fraction:
     try:
-        if "/" in text:
-            num, den = text.split("/")
-            value = Fraction(int(num), int(den))
-        else:
-            value = Fraction(int(text))
-    except (ValueError, ZeroDivisionError):
+        value = parse_rational(text)
+    except ValueError:
         raise UsageError(f"bad rational value {text!r}") from None
     if positive and value <= 0:
         raise UsageError(f"value must be positive, got {text!r}")
     return value
 
 
-def _load_system(path: str, weight_flags: list[str] | None) -> DdeSystem:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from None
-    sys_ = parse_system(text)
+def _load_system(path: str, weight_flags: list[str]) -> DdeSystem:
+    sys_ = parse_system(_read_text(path))
     if weight_flags:
         pins = dict(sys_.weight_pins)
         index = {n: i for i, n in enumerate(sys_.names)}
         for flag in weight_flags:
             if "=" not in flag:
                 raise UsageError(f"--weight expects name=value, got {flag!r}")
-            name, val = flag.split("=", 1)
-            name = name.strip()
+            name, val = (part.strip() for part in flag.split("=", 1))
             if name not in index:
                 raise UsageError(f"unknown component {name!r} in --weight")
-            pins[index[name]] = _parse_rational(val.strip())
+            pins[index[name]] = _parse_rational(val)
+            if pins[index[name]] <= 0:
+                raise UsageError(f"--weight {name} must be positive, got {val!r}")
         sys_ = DdeSystem(sys_.names, sys_.rhs, sys_.params, pins)
     return sys_
+
+
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from None
 
 
 def _resolve_weights(sys_: DdeSystem) -> WeightVector:
@@ -422,19 +424,11 @@ def build_argparser() -> _Parser:
 # -- subcommand implementations ----------------------------------------------------
 
 
-def _cmd_weights(args) -> tuple[Report, int]:
-    sys_ = _load_system(args.file, args.weight)
-    report = Report("weights", sys_)
-    w = _resolve_weights(sys_)
-    report.set_weights(w)
-    return report, EXIT_OK
+def _cmd_weights(args, sys_: DdeSystem, w: WeightVector, report: Report) -> int:
+    return EXIT_OK
 
 
-def _cmd_densities(args) -> tuple[Report, int]:
-    sys_ = _load_system(args.file, args.weight)
-    report = Report("densities", sys_)
-    w = _resolve_weights(sys_)
-    report.set_weights(w)
+def _cmd_densities(args, sys_: DdeSystem, w: WeightVector, report: Report) -> int:
     depth = _branch_depth(args)
     if args.rank is not None:
         ranks = [_parse_rational(args.rank, positive=True)]
@@ -454,14 +448,10 @@ def _cmd_densities(args) -> tuple[Report, int]:
             report.add_branches(
                 f"density rank {rank}", branches, "density found"
             )
-    return report, EXIT_OK if found else EXIT_NO_RESULT
+    return EXIT_OK if found else EXIT_NO_RESULT
 
 
-def _cmd_symmetries(args) -> tuple[Report, int]:
-    sys_ = _load_system(args.file, args.weight)
-    report = Report("symmetries", sys_)
-    w = _resolve_weights(sys_)
-    report.set_weights(w)
+def _cmd_symmetries(args, sys_: DdeSystem, w: WeightVector, report: Report) -> int:
     depth = _branch_depth(args)
     if args.gap < 1:
         raise UsageError("--gap must be at least 1")
@@ -479,9 +469,7 @@ def _cmd_symmetries(args) -> tuple[Report, int]:
         if args.levels < 1:
             raise UsageError("--levels must be at least 1")
         for level in range(1, args.levels + 1):
-            rank_vectors.append(
-                tuple(wi + level * args.gap for wi in w.weights)
-            )
+            rank_vectors.append(level_ranks(sys_, w, level, args.gap))
     found = 0
     for ranks in rank_vectors:
         try:
@@ -506,14 +494,10 @@ def _cmd_symmetries(args) -> tuple[Report, int]:
                 branches,
                 "symmetry found",
             )
-    return report, EXIT_OK if found else EXIT_NO_RESULT
+    return EXIT_OK if found else EXIT_NO_RESULT
 
 
-def _cmd_recursion(args) -> tuple[Report, int]:
-    sys_ = _load_system(args.file, args.weight)
-    report = Report("recursion", sys_)
-    w = _resolve_weights(sys_)
-    report.set_weights(w)
+def _cmd_recursion(args, sys_: DdeSystem, w: WeightVector, report: Report) -> int:
     depth = _branch_depth(args)
     if args.gap < 1:
         raise UsageError("--gap must be at least 1")
@@ -528,37 +512,19 @@ def _cmd_recursion(args) -> tuple[Report, int]:
                 report.add_symmetry(r)
     report.set_recursion(outcome)
     if outcome.ok:
-        return report, EXIT_OK
+        return EXIT_OK
     family = outcome.failure_family or ""
-    code = EXIT_VERIFY_FAIL if family.startswith("verification") else EXIT_NO_RESULT
-    return report, code
+    return EXIT_VERIFY_FAIL if family.startswith("verification") else EXIT_NO_RESULT
 
 
-def _read_text(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from None
-
-
-def _cmd_verify(args) -> tuple[Report, int]:
-    sys_ = _load_system(args.file, args.weight)
-    report = Report("verify", sys_)
-    w = _resolve_weights(sys_)
-    report.set_weights(w)
-    ok = True
+def _cmd_verify(args, sys_: DdeSystem, w: WeightVector, report: Report) -> int:
     if args.density:
         assigns = dict_of_assignments(args.density, sys_)
         for key in ("rho", "flux"):
             if key not in assigns:
                 raise UsageError(f"density file must assign {key}")
-        rho, flux = assigns["rho"], assigns["flux"]
-        good = conservation_residual(rho, flux, sys_).is_zero
-        report.add_verification(
-            "density", "Dt(rho) + Delta(flux) = 0", good
-        )
-        ok &= good
+        ok = conservation_residual(assigns["rho"], assigns["flux"], sys_).is_zero
+        report.add_verification("density", "Dt(rho) + Delta(flux) = 0", ok)
     elif args.symmetry:
         assigns = dict_of_assignments(args.symmetry, sys_)
         comps = []
@@ -567,15 +533,13 @@ def _cmd_verify(args) -> tuple[Report, int]:
             if key not in assigns:
                 raise UsageError(f"symmetry file must assign {key}")
             comps.append(assigns[key])
-        res = symmetry_residual(comps, sys_)
-        good = all(x.is_zero for x in res)
-        report.add_verification("symmetry", "Dt(G) - F'[G] = 0", good)
-        ok &= good
+        ok = all(x.is_zero for x in symmetry_residual(comps, sys_))
+        report.add_verification("symmetry", "Dt(G) - F'[G] = 0", ok)
     else:
         text = _read_text(args.operator)
         op = parse_operator_matrix(text, sys_.names, sys_.params)
         ok = _verify_operator(sys_, op, report)
-    return report, EXIT_OK if ok else EXIT_VERIFY_FAIL
+    return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
 def dict_of_assignments(path: str, sys_: DdeSystem) -> dict[str, LatticePoly]:
@@ -595,7 +559,7 @@ def _verify_operator(sys_: DdeSystem, op: DiffOperator, report: Report) -> bool:
     right-hand side itself.
     """
     fp = frechet_operator(sys_.rhs)
-    residual_op = op.frechet(sys_.rhs) + op.compose(fp) - fp.compose(op)
+    residual_op = identity_residual(op, sys_, fp)
     ok = True
     chain = [list(sys_.rhs)]
     for step in range(1, 4):
@@ -635,7 +599,11 @@ def main(argv: list[str] | None = None) -> int:
             "recursion": _cmd_recursion,
             "verify": _cmd_verify,
         }[args.command]
-        report, code = handler(args)
+        sys_ = _load_system(args.file, args.weight)
+        report = Report(args.command, sys_)
+        w = _resolve_weights(sys_)
+        report.set_weights(w)
+        code = handler(args, sys_, w, report)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

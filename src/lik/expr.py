@@ -11,7 +11,6 @@ Everything here is immutable and pure; all arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence, Union
 
@@ -371,24 +370,6 @@ def delta_decompose(p: LatticePoly) -> tuple[LatticePoly, LatticePoly]:
             for j in range(r, 0):
                 bump(j_terms, rep.shifted(j), -c)
     return LatticePoly(canonical), LatticePoly(j_terms)
-
-
-@dataclass(frozen=True)
-class NotExact:
-    """Outcome of antidifference when p is not a forward difference: the
-    canonical obstruction plus the exact part J with p = canonical + (D-I)J."""
-
-    canonical: LatticePoly
-    exact_part: LatticePoly
-
-
-def antidifference(p: LatticePoly) -> Union[LatticePoly, NotExact]:
-    """Invert the forward difference: return q with (D - I) q = p, or a
-    NotExact signal carrying both decomposition parts."""
-    canonical, j = delta_decompose(p)
-    if canonical.is_zero:
-        return j
-    return NotExact(canonical, j)
 
 
 # -- rendering ------------------------------------------------------------------

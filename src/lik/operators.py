@@ -26,8 +26,7 @@ from typing import Iterable, Sequence, Union
 
 from .expr import (
     LatticePoly,
-    NotExact,
-    antidifference,
+    delta_decompose,
     dir_derivative,
     render_poly,
     term_key,
@@ -308,14 +307,9 @@ class OpEntry:
                     "cannot push an unresolved antidifference through "
                     "another inverse difference"
                 )
-            inner = t.right * g.local
-            out = antidifference(inner)
-            if isinstance(out, NotExact):
-                acc = acc + ExtendedExpr(
-                    t.left * out.exact_part, [(out.canonical, t.left)]
-                )
-            else:
-                acc = acc + ExtendedExpr.from_poly(t.left * out)
+            # (D-I)^-1 (canonical + (D-I) exact) = Theta(canonical) + exact
+            canonical, exact = delta_decompose(t.right * g.local)
+            acc = acc + ExtendedExpr(t.left * exact, [(canonical, t.left)])
         return acc
 
     def __eq__(self, other: object) -> bool:

@@ -2,8 +2,9 @@
 
 Expressions:  u[-1]^2 * v[0] + (1/3)*u[0]^3 - a*v[1]   with declared
 parameter names as bare identifiers, ^ for integer powers, [k] for shifts.
-Division is restricted to rationals and single-monomial divisors, keeping
-everything an exact Laurent polynomial.
+Division is restricted to rationals and single-monomial divisors with a
+rational coefficient (never a parameter), keeping everything an exact
+Laurent polynomial.
 
 System files: one evolution equation per component plus optional
 directives, e.g.
@@ -188,7 +189,7 @@ class _ExprParser:
             raise ParseError(
                 "negative powers need a single-term divisor", tok.line, tok.col
             )
-        return base**k
+        return self._pow(base, k, tok)
 
     def _int_exponent(self) -> int:
         sign = 1
@@ -273,6 +274,12 @@ class _ExprParser:
         except ValueError as exc:  # two nonlocal factors
             raise ParseError(str(exc), tok.line, tok.col) from None
 
+    def _pow(self, base: LatticePoly, k: int, tok: Token) -> LatticePoly:
+        try:
+            return base**k
+        except ValueError as exc:  # a parameter in the inverted coefficient
+            raise ParseError(str(exc), tok.line, tok.col) from None
+
     def _div(self, a, b, tok: Token):
         if not isinstance(b, LatticePoly):
             raise ParseError("cannot divide by an operator", tok.line, tok.col)
@@ -280,7 +287,7 @@ class _ExprParser:
             raise ParseError(
                 "division only by rationals or single monomials", tok.line, tok.col
             )
-        inv = b**-1
+        inv = self._pow(b, -1, tok)
         if isinstance(a, OpEntry):
             return a.compose(OpEntry.local(inv))
         return a * inv
@@ -308,6 +315,16 @@ def parse_operator_entry(
     return _ExprParser(
         _tokenize(text, line_no, col), names, params, operators=True
     ).parse_entry()
+
+
+def parse_rational(text: str) -> Fraction:
+    """An integer or integer/integer literal such as -2 or 1/3; raises
+    ValueError for anything else."""
+    num, slash, den = text.partition("/")
+    try:
+        return Fraction(int(num), int(den) if slash else 1)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 _EQ_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*'\s*=")
@@ -388,13 +405,13 @@ def parse_system(text: str) -> DdeSystem:
         if wname not in index:
             raise ParseError(f"weight for unknown component {wname!r}", ln, 1)
         try:
-            if "/" in wval:
-                num, den = wval.split("/")
-                pins[index[wname]] = Fraction(int(num), int(den))
-            else:
-                pins[index[wname]] = Fraction(int(wval))
-        except (ValueError, ZeroDivisionError):
+            pins[index[wname]] = parse_rational(wval)
+        except ValueError:
             raise ParseError(f"bad weight value {wval!r}", ln, 1) from None
+        if pins[index[wname]] <= 0:
+            raise ParseError(
+                f"weight of {wname!r} must be positive, got {wval}", ln, 1
+            )
 
     return DdeSystem(names, tuple(rhs), tuple(params), pins)  # type: ignore[arg-type]
 

@@ -26,14 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .conservation import build_density_candidate, solve_density
-from .expr import (
-    LatticeMonomial,
-    LatticePoly,
-    VarRef,
-    antidifference,
-    NotExact,
-    term_key,
-)
+from .expr import LatticeMonomial, LatticePoly, VarRef, delta_decompose
 from .linalg import (
     LinearSolveError,
     LinearSystem,
@@ -44,7 +37,7 @@ from .linalg import (
 )
 from .operators import DiffOperator, ExtendedExpr, OpEntry
 from .params import ParamCoeff
-from .scaling import WeightVector, achievable_ranks, rank_of
+from .scaling import WeightVector, achievable_ranks, power_products, rank_of
 from .symmetry import (
     SymmetryResult,
     frechet_operator,
@@ -96,30 +89,6 @@ def _rhs_variable_pool(sys: DdeSystem) -> list[VarRef]:
     return sorted(pool)
 
 
-def _pool_monomials_of_rank(
-    pool: Sequence[VarRef], w: WeightVector, target: Fraction
-) -> list[LatticeMonomial]:
-    """Nonnegative power products of the pool variables of exactly the
-    target rank (the constant monomial for target zero)."""
-    out: list[LatticeMonomial] = []
-    if target < 0:
-        return out
-
-    def extend(i: int, pairs: tuple, remaining: Fraction):
-        if i == len(pool):
-            if remaining == 0:
-                out.append(LatticeMonomial(pairs))
-            return
-        x = pool[i]
-        e = 0
-        while e * w[x.comp] <= remaining:
-            extend(i + 1, pairs + ((x, e),) if e else pairs, remaining - e * w[x.comp])
-            e += 1
-
-    extend(0, (), Fraction(target))
-    return sorted(out, key=term_key)
-
-
 def _entry_shift_sets(sys: DdeSystem) -> list[list[set[int]]]:
     """Shift powers present in the linearization, identity included."""
     n = sys.n
@@ -145,8 +114,13 @@ def build_r0(
     parts: list[tuple[int, int, LatticeMonomial, int]] = []
     for i in range(n):
         for j in range(n):
+            cofactors = [
+                m
+                for m in power_products(pool, w, rm[i][j])
+                if rank_of(m, w) == rm[i][j]
+            ]
             for a in sorted(shift_sets[i][j]):
-                for m in _pool_monomials_of_rank(pool, w, rm[i][j]):
+                for m in cofactors:
                     parts.append((i, j, m, a))
     tags = fresh_tags(len(parts), sys.params)
     basis = []
@@ -163,8 +137,8 @@ def detect_log_densities(sys: DdeSystem) -> list[LogDensity]:
     forward difference."""
     out = []
     for i in range(sys.n):
-        q = sys.rhs[i] * LatticePoly.var(i, 0, -1)
-        if not isinstance(antidifference(q), NotExact):
+        canonical, _ = delta_decompose(sys.rhs[i] * LatticePoly.var(i, 0, -1))
+        if canonical.is_zero:
             out.append(LogDensity(i))
     return out
 
@@ -284,16 +258,22 @@ def build_candidate(
     w: WeightVector,
     rm: RankMatrix,
     symmetries: Sequence[SymmetryResult],
-    covariants: Sequence[tuple[OpEntry, ...]] | None = None,
     max_depth: int = 6,
 ) -> OperatorCandidate:
     r0 = build_r0(sys, w, rm)
-    if covariants is None:
-        covariants = default_covariants(sys, w, symmetries, rm, max_depth)
+    covariants = default_covariants(sys, w, symmetries, rm, max_depth)
     r1 = build_r1(sys, w, rm, symmetries, covariants, len(r0.unknowns))
     return OperatorCandidate(
         sys.n, r0.unknowns + r1.unknowns, r0.basis + r1.basis
     )
+
+
+def identity_residual(
+    op: DiffOperator, sys: DdeSystem, fp: DiffOperator
+) -> DiffOperator:
+    """The defining-identity operator R'[F] + R o F' - F' o R of op, where
+    fp is the linearization F' of the right-hand side F."""
+    return op.frechet(sys.rhs) + op.compose(fp) - fp.compose(op)
 
 
 @dataclass
@@ -341,7 +321,6 @@ def solve_recursion(
     sys: DdeSystem,
     w: WeightVector,
     symmetries: Sequence[SymmetryResult],
-    covariants: Sequence[tuple[OpEntry, ...]] | None = None,
     gap: int = 1,
     max_depth: int = 6,
 ) -> RecursionOutcome:
@@ -368,7 +347,7 @@ def solve_recursion(
                 message="inconsistent rank gaps between supplied symmetries",
             )
 
-    cand = build_candidate(sys, w, rm, symmetries, covariants, max_depth)
+    cand = build_candidate(sys, w, rm, symmetries, max_depth)
     if not cand.unknowns:
         return RecursionOutcome(
             None,
@@ -378,10 +357,7 @@ def solve_recursion(
         )
 
     fp = frechet_operator(sys.rhs)
-    commutator_parts: list[DiffOperator] = [
-        op.frechet(sys.rhs) + op.compose(fp) - fp.compose(op)
-        for op in cand.basis
-    ]
+    commutator_parts = [identity_residual(op, sys, fp) for op in cand.basis]
 
     probe_cache: dict[int, list[dict[str, ParamCoeff]]] = {}
 
@@ -482,9 +458,7 @@ def _verify(
     out = RecursionOutcome(
         operator, coeffs, cand, checks=checks
     )
-    residual_op = (
-        operator.frechet(sys.rhs) + operator.compose(fp) - fp.compose(operator)
-    )
+    residual_op = identity_residual(operator, sys, fp)
     for k, g in enumerate(symmetries, start=1):
         res = residual_op.apply(list(g.components))
         if not all(x.is_zero for x in res):

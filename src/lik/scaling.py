@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .expr import (
     LatticeMonomial,
@@ -21,6 +21,8 @@ from .expr import (
     term_key,
     total_time_derivative,
 )
+from .linalg import LinearSystem, nullspace
+from .params import ParamCoeff
 from .system import DdeSystem
 
 
@@ -62,88 +64,66 @@ def rank_of(m: LatticeMonomial, w: WeightVector) -> Fraction:
     return total
 
 
-def _balance_rows(sys: DdeSystem) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-    """Rows (a, b) meaning a . w = b: the lhs monomial of equation i has
-    weight w_i + 1 and every rhs monomial must match it."""
+def _balance_rows(sys: DdeSystem) -> list[dict[int, Fraction]]:
+    """Homogeneous rows a . w - b t = 0 over the columns w_0..w_(n-1), t:
+    the lhs monomial of equation i has weight w_i + 1 and every rhs
+    monomial must match it (b = 1); a pin w_i = v gives b = v."""
     n = sys.n
-    rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    seen: set[tuple[tuple[Fraction, ...], Fraction]] = set()
+    rows: list[dict[int, Fraction]] = []
     for i, f in enumerate(sys.rhs):
         for m in f.monomials():
-            coeffs = [Fraction(0)] * n
+            row = {i: Fraction(-1), n: Fraction(-1)}
             for x, e in m.pairs:
-                coeffs[x.comp] += e
-            coeffs[i] -= 1
-            row = (tuple(coeffs), Fraction(1))
-            if row not in seen:
-                seen.add(row)
-                rows.append(row)
+                row[x.comp] = row.get(x.comp, 0) + e
+            rows.append(row)
+    for i, val in sorted(sys.weight_pins.items()):
+        rows.append({i: Fraction(1), n: -Fraction(val)})
     return rows
 
 
-def compute_weights(
-    sys: DdeSystem, pins: dict[int, Fraction] | None = None
-) -> WeightVector | WeightFamily:
+def compute_weights(sys: DdeSystem) -> WeightVector | WeightFamily:
     """Solve the rank-uniformity balance equations over the rationals.
 
-    Parameters are weightless constants.  Returns a WeightVector when the
-    solution is unique (and positive), a WeightFamily when a free scale
-    remains, and raises ScalingError when no positive solution exists.
+    Parameters are weightless constants; weights are pinned only through
+    sys.weight_pins.  Returns a WeightVector when the solution is unique
+    (and positive), a WeightFamily when a free scale remains, and raises
+    ScalingError when no positive solution exists.
     """
     n = sys.n
-    rows = _balance_rows(sys)
-    all_pins = dict(sys.weight_pins)
-    if pins:
-        all_pins.update(pins)
-    for i, val in sorted(all_pins.items()):
-        coeffs = [Fraction(0)] * n
-        coeffs[i] = Fraction(1)
-        rows.append((tuple(coeffs), Fraction(val)))
-
-    # Gaussian elimination on the augmented matrix, exact rationals.
-    aug = [list(a) + [b] for a, b in rows]
-    pivot_of_col: dict[int, int] = {}
-    r = 0
-    for c in range(n):
-        pr = next((k for k in range(r, len(aug)) if aug[k][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        piv = aug[r][c]
-        aug[r] = [v / piv for v in aug[r]]
-        for k in range(len(aug)):
-            if k != r and aug[k][c] != 0:
-                fac = aug[k][c]
-                aug[k] = [vk - fac * vr for vk, vr in zip(aug[k], aug[r])]
-        pivot_of_col[c] = r
-        r += 1
-    for k in range(r, len(aug)):
-        if aug[k][n] != 0:
-            raise ScalingError(
-                "system is not dilation invariant: rank balance equations "
-                "are inconsistent"
-            )
-
-    free = [c for c in range(n) if c not in pivot_of_col]
-    particular = [Fraction(0)] * n
-    for c, pr in pivot_of_col.items():
-        particular[c] = aug[pr][n]
+    columns = tuple(f"w{i}" for i in range(n)) + ("t",)
+    system = LinearSystem.build(
+        columns,
+        (
+            {columns[j]: ParamCoeff.from_value(c) for j, c in row.items()}
+            for row in _balance_rows(sys)
+        ),
+    )
+    # t is the last column, so the one basis vector holding it has t = 1;
+    # every other vector is a direction whose last entry is its free column
+    particular = None
+    directions, free = [], []
+    for vec in nullspace(system).basis:
+        weights = tuple(
+            vec.get(c, ParamCoeff.zero()).as_fraction() for c in columns[:n]
+        )
+        if "t" in vec:
+            particular = weights
+        else:
+            directions.append(weights)
+            free.append(max(i for i, v in enumerate(weights) if v))
+    if particular is None:
+        raise ScalingError(
+            "system is not dilation invariant: rank balance equations "
+            "are inconsistent"
+        )
     if free:
-        directions = []
-        for fc in free:
-            d = [Fraction(0)] * n
-            d[fc] = Fraction(1)
-            for c, pr in pivot_of_col.items():
-                d[c] = -aug[pr][fc]
-            directions.append(tuple(d))
-        return WeightFamily(tuple(particular), tuple(directions), tuple(free))
-
+        return WeightFamily(particular, tuple(directions), tuple(free))
     if any(v <= 0 for v in particular):
         raise ScalingError(
             "system is not dilation invariant: no positive rational weights "
             f"(solution was {tuple(str(v) for v in particular)})"
         )
-    return WeightVector(tuple(particular))
+    return WeightVector(particular)
 
 
 def equation_ranks(sys: DdeSystem, w: WeightVector) -> list[Fraction]:
@@ -160,6 +140,29 @@ def equation_ranks(sys: DdeSystem, w: WeightVector) -> list[Fraction]:
     return out
 
 
+def power_products(
+    pool: Sequence[VarRef], w: WeightVector, bound: Fraction
+) -> tuple[LatticeMonomial, ...]:
+    """All nonnegative power products of the pool variables (the constant
+    monomial included) of rank at most bound, in the deterministic term
+    order.  The weights of the pool variables must be positive."""
+    out: list[LatticeMonomial] = []
+
+    def extend(i: int, pairs: tuple, budget: Fraction):
+        if i == len(pool):
+            out.append(LatticeMonomial(pairs))
+            return
+        x = pool[i]
+        e = 0
+        while e * w[x.comp] <= budget:
+            extend(i + 1, pairs + ((x, e),) if e else pairs, budget - e * w[x.comp])
+            e += 1
+
+    if bound >= 0:
+        extend(0, (), Fraction(bound))
+    return tuple(sorted(out, key=term_key))
+
+
 def monomials_upto_rank(
     w: WeightVector, max_rank: Fraction
 ) -> tuple[LatticeMonomial, ...]:
@@ -170,22 +173,8 @@ def monomials_upto_rank(
         raise ValueError("rank bound must be positive")
     if any(v <= 0 for v in w.weights):
         raise ValueError("monomial enumeration needs strictly positive weights")
-
-    out: list[LatticeMonomial] = []
-
-    def extend(comp: int, pairs: tuple, budget: Fraction):
-        if comp == len(w):
-            if pairs:
-                out.append(LatticeMonomial(pairs))
-            return
-        e = 0
-        while e * w[comp] <= budget:
-            new_pairs = pairs + ((VarRef(comp, 0), e),) if e else pairs
-            extend(comp + 1, new_pairs, budget - e * w[comp])
-            e += 1
-
-    extend(0, (), max_rank)
-    return tuple(sorted(out, key=term_key))
+    pool = [VarRef(comp, 0) for comp in range(len(w))]
+    return tuple(m for m in power_products(pool, w, max_rank) if not m.is_constant)
 
 
 def derivative_completion(

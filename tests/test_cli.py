@@ -65,6 +65,21 @@ class TestWeights:
         assert code == 0
         assert "w(u) = 1" in out
 
+    @pytest.mark.parametrize("value", ["0", "-1", "-1/2"])
+    def test_nonpositive_pin_flag_rejected(self, capsys, tmp_path, value):
+        p = tmp_path / "s.dde"
+        p.write_text("u' = u[0]*v[0]\nv' = v[0]*v[1]\n")
+        code, out, err = run(capsys, "weights", "--weight", f"u={value}", str(p))
+        assert code == 1 and out == ""
+        assert err == f"error: --weight u must be positive, got {value!r}\n"
+
+    def test_nonpositive_pin_directive_rejected(self, capsys, tmp_path):
+        p = tmp_path / "s.dde"
+        p.write_text("u' = u[0]*v[0]\nv' = v[0]*v[1]\nweight: u = -1\n")
+        code, out, err = run(capsys, "weights", str(p))
+        assert code == 1 and out == ""
+        assert err == "parse error: 3:1: weight of 'u' must be positive, got -1\n"
+
     def test_not_dilation_invariant(self, capsys, tmp_path):
         p = tmp_path / "s.dde"
         p.write_text("u' = u[1]\n")
@@ -225,6 +240,33 @@ class TestDiagnostics:
         # the second S is at column 13 of the line
         assert proc.stderr.startswith("parse error: 4:13: composition of two")
         assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "kind, text, position",
+        [
+            ("system", "params: a\nu' = u[0]/a\n", "2:11:"),
+            ("system", "params: a\nu' = u[0]*a^-1\n", "2:12:"),
+            ("--density", "rho = u[0]\nflux = u[0]/a\n", "2:13:"),
+            ("--symmetry", "G_u = a^-1*u[0]\n", "1:8:"),
+            ("--operator", "R[1][1] = 1/a\n", "1:13:"),
+        ],
+        ids=["system-slash", "system-power", "density", "symmetry", "operator"],
+    )
+    def test_division_by_parameter(self, tmp_path, kind, text, position):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        if kind == "system":
+            argv = ["weights", str(path)]
+        else:
+            system = tmp_path / "volterra.dde"
+            system.write_text("params: a\nu' = a*u[0]*(u[1] - u[-1])\n")
+            argv = ["verify", kind, str(path), str(system)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "lik", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith(f"parse error: {position} ")
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
         "flag, text, key",

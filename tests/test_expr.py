@@ -4,9 +4,7 @@ import hypothesis.strategies as st
 from conftest import M, P, UV, monomials, polys
 from lik.expr import (
     LatticePoly,
-    NotExact,
     VarRef,
-    antidifference,
     canonical_rep,
     delta_decompose,
     partial,
@@ -146,25 +144,27 @@ class TestDeltaDecompose:
 
 
 class TestAntidifference:
+    """delta_decompose inverts the forward difference: p = (D - I) J
+    exactly when its canonical part vanishes."""
+
     def test_simple(self):
-        assert antidifference(P("u[1] - u[0]")) == P("u[0]")
+        assert delta_decompose(P("u[1] - u[0]")) == (LatticePoly.zero(), P("u[0]"))
 
     def test_cancelling_laurent_factor(self):
         p = P("(1/v[0]) * v[0] * (u[1] - u[0])")
         assert p == P("u[1] - u[0]")
-        assert antidifference(p) == P("u[0]")
+        assert delta_decompose(p) == (LatticePoly.zero(), P("u[0]"))
 
     def test_not_exact(self):
-        out = antidifference(P("u[0]"))
-        assert isinstance(out, NotExact)
-        assert out.canonical == P("u[0]")
-        assert out.exact_part.is_zero
+        canonical, j = delta_decompose(P("u[0]"))
+        assert canonical == P("u[0]")
+        assert j.is_zero
 
     @given(polys(max_vars=3))
     def test_correct_when_exact(self, p):
-        out = antidifference(p)
-        if not isinstance(out, NotExact):
-            assert shift(out, 1) - out == p
+        canonical, j = delta_decompose(p)
+        if canonical.is_zero:
+            assert shift(j, 1) - j == p
 
 
 class TestRendering:

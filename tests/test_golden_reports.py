@@ -27,6 +27,9 @@ PARAM_TODA = "systems/parameterized_toda.dde"
 PARAM_VOLTERRA = "perfbench/systems/parameterized_volterra.dde"
 # recursion on it needs each row divided by its parameter-monomial factor
 SCALED_VOLTERRA = "tests/golden/scaled_volterra.dde"
+FREE_SCALE = "tests/golden/free_scale.dde"
+TODA_OPERATOR = "tests/golden/toda_operator.txt"
+BROKEN_OPERATOR = "tests/golden/broken_operator.txt"
 
 CASES = [
     ("toda-densities-6", 0, ("densities", "--max-rank", "6", "systems/toda.dde")),
@@ -50,6 +53,17 @@ CASES = [
         ("symmetries", "--levels", "3", PARAM_VOLTERRA),
     ),
     ("param-scaled-volterra-recursion", 0, ("recursion", SCALED_VOLTERRA)),
+    ("free-scale-weights-pinned", 0, ("weights", "--weight", "u=3", FREE_SCALE)),
+    (
+        "toda-verify-operator",
+        0,
+        ("verify", "--operator", TODA_OPERATOR, "systems/toda.dde"),
+    ),
+    (
+        "toda-verify-broken-operator",
+        3,
+        ("verify", "--operator", BROKEN_OPERATOR, "systems/toda.dde"),
+    ),
 ]
 CLASSIFICATION = [case for case in CASES if case[0].startswith("param-")]
 

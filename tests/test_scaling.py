@@ -1,10 +1,13 @@
 from fractions import Fraction
 from itertools import product
 
+import hypothesis.strategies as st
 import pytest
+import sympy
+from hypothesis import given, settings
 
 from conftest import M
-from lik.expr import LatticeMonomial, VarRef
+from lik.expr import LatticeMonomial, LatticePoly, VarRef
 from lik.parser import parse_system
 from lik.scaling import (
     ScalingError,
@@ -16,6 +19,7 @@ from lik.scaling import (
     monomials_upto_rank,
     rank_of,
 )
+from lik.system import DdeSystem
 
 
 class TestComputeWeights:
@@ -36,7 +40,8 @@ class TestComputeWeights:
         assert isinstance(fam, WeightFamily)
         assert fam.free_components == (0,)
         # pinning the free component resolves the family
-        w = compute_weights(s, pins={0: Fraction(3)})
+        pinned = DdeSystem(s.names, s.rhs, weight_pins={0: Fraction(3)})
+        w = compute_weights(pinned)
         assert w.weights == (Fraction(3), Fraction(1))
 
     def test_fractional_weights(self):
@@ -67,6 +72,91 @@ class TestComputeWeights:
         s = parse_system(text)
         w = compute_weights(s)
         equation_ranks(s, w)  # raises on any non-uniform equation
+
+
+@st.composite
+def weighted_systems(draw):
+    """Systems of 1-3 components, right-hand sides of up to three
+    monomials with shifts -1..1, plus optional weight pins (some of them
+    non-positive)."""
+    n = draw(st.integers(1, 3))
+    monomial = st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(-1, 1), st.integers(1, 3)),
+        min_size=1,
+        max_size=3,
+    )
+    rhs = []
+    for _ in range(n):
+        p = LatticePoly.zero()
+        for pairs in draw(st.lists(monomial, max_size=3)):
+            m = LatticeMonomial((VarRef(c, k), e) for c, k, e in pairs)
+            p = p + LatticePoly.from_monomial(m)
+        rhs.append(p)
+    pins = draw(
+        st.dictionaries(
+            st.integers(0, n - 1),
+            st.fractions(-2, 3, max_denominator=2),
+            max_size=2,
+        )
+    )
+    names = tuple("uvw"[:n])
+    return DdeSystem(names, tuple(rhs), weight_pins=pins)
+
+
+def _rref_outcome(sys):
+    """The outcome class of compute_weights, recomputed with sympy's RREF
+    of the augmented balance matrix [a | b] (rows a . w = b)."""
+    n = sys.n
+    rows = []
+    for i, f in enumerate(sys.rhs):
+        for m in f.monomials():
+            a = [0] * n
+            for x, e in m.pairs:
+                a[x.comp] += e
+            a[i] -= 1
+            rows.append(a + [1])
+    for i, val in sys.weight_pins.items():
+        rows.append([int(c == i) for c in range(n)] + [val])
+    if rows:
+        rref, pivots = sympy.Matrix(rows).rref()
+    else:
+        rref, pivots = sympy.zeros(0, n + 1), ()
+    if n in pivots:
+        return ("inconsistent",)
+    particular = [Fraction(0)] * n
+    for k, c in enumerate(pivots):
+        particular[c] = Fraction(str(rref[k, n]))
+    free = tuple(c for c in range(n) if c not in pivots)
+    directions = []
+    for fc in free:
+        d = [Fraction(0)] * n
+        d[fc] = Fraction(1)
+        for k, c in enumerate(pivots):
+            d[c] = -Fraction(str(rref[k, fc]))
+        directions.append(tuple(d))
+    if free:
+        return ("family", tuple(particular), tuple(directions), free)
+    if any(v <= 0 for v in particular):
+        return ("non-positive",)
+    return ("vector", tuple(particular))
+
+
+class TestComputeWeightsAgainstSympy:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(weighted_systems())
+    def test_outcome_matches_rref(self, sys):
+        expected = _rref_outcome(sys)
+        try:
+            w = compute_weights(sys)
+        except ScalingError as exc:
+            kind = "inconsistent" if "inconsistent" in str(exc) else "non-positive"
+            assert (kind,) == expected
+            return
+        if isinstance(w, WeightFamily):
+            got = ("family", w.particular, w.directions, w.free_components)
+        else:
+            got = ("vector", w.weights)
+        assert got == expected
 
 
 class TestRankOf:
