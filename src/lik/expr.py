@@ -19,6 +19,8 @@ from .params import ParamCoeff, Scalar
 if TYPE_CHECKING:  # pragma: no cover
     from .system import DdeSystem
 
+_ONE = ParamCoeff.one()
+
 
 class VarRef(NamedTuple):
     """Component index and signed lattice-shift offset of one variable."""
@@ -33,13 +35,22 @@ class LatticeMonomial:
     The empty product is the constant monomial 1.
     """
 
-    __slots__ = ("_vars",)
+    __slots__ = ("_vars", "_hash")
 
     def __init__(self, pairs: Iterable[tuple[VarRef, int]] = ()):
         acc: dict[VarRef, int] = {}
         for x, e in pairs:
             acc[x] = acc.get(x, 0) + e
         self._vars = tuple(sorted((x, e) for x, e in acc.items() if e != 0))
+        self._hash = hash(self._vars)
+
+    @classmethod
+    def _of(cls, pairs: tuple[tuple[VarRef, int], ...]) -> "LatticeMonomial":
+        """Wrap pairs that are already sorted, merged and nonzero."""
+        out = object.__new__(cls)
+        out._vars = pairs
+        out._hash = hash(pairs)
+        return out
 
     @classmethod
     def constant(cls) -> "LatticeMonomial":
@@ -80,12 +91,15 @@ class LatticeMonomial:
         return LatticeMonomial(self._vars + other._vars)
 
     def __pow__(self, k: int) -> "LatticeMonomial":
-        return LatticeMonomial(tuple((x, e * k) for x, e in self._vars))
+        if k == 0:
+            return LatticeMonomial.constant()
+        return LatticeMonomial._of(tuple((x, e * k) for x, e in self._vars))
 
     def shifted(self, r: int) -> "LatticeMonomial":
+        # a common shift keeps the (component, shift) order of the pairs
         if r == 0:
             return self
-        return LatticeMonomial(
+        return LatticeMonomial._of(
             tuple((VarRef(x.comp, x.shift + r), e) for x, e in self._vars)
         )
 
@@ -95,7 +109,7 @@ class LatticeMonomial:
         return self._vars == other._vars
 
     def __hash__(self) -> int:
-        return hash(self._vars)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"LatticeMonomial({self._vars!r})"
@@ -114,6 +128,13 @@ class LatticePoly:
 
     def __init__(self, terms: Mapping[LatticeMonomial, ParamCoeff]):
         self._terms = {m: c for m, c in terms.items() if not c.is_zero}
+
+    @classmethod
+    def _of(cls, terms: dict[LatticeMonomial, ParamCoeff]) -> "LatticePoly":
+        """Wrap terms that already hold only nonzero coefficients."""
+        out = object.__new__(cls)
+        out._terms = terms
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -186,34 +207,37 @@ class LatticePoly:
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other: Union["LatticePoly", Scalar]) -> "LatticePoly":
-        other = _coerce_poly(other)
         acc = dict(self._terms)
-        for m, c in other._terms.items():
-            acc[m] = acc.get(m, ParamCoeff.zero()) + c
-        return LatticePoly(acc)
+        for m, c in _coerce_poly(other)._terms.items():
+            _accumulate(acc, m, c)
+        return LatticePoly._of(acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LatticePoly":
-        return LatticePoly({m: -c for m, c in self._terms.items()})
+        return LatticePoly._of({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: Union["LatticePoly", Scalar]) -> "LatticePoly":
-        return self + (-_coerce_poly(other))
+        acc = dict(self._terms)
+        for m, c in _coerce_poly(other)._terms.items():
+            _accumulate(acc, m, -c)
+        return LatticePoly._of(acc)
 
     def __rsub__(self, other: Union["LatticePoly", Scalar]) -> "LatticePoly":
-        return _coerce_poly(other) + (-self)
+        return _coerce_poly(other) - self
 
     def __mul__(self, other: Union["LatticePoly", Scalar]) -> "LatticePoly":
         if isinstance(other, (int, Fraction, ParamCoeff)):
             k = ParamCoeff.coerce(other)
-            return LatticePoly({m: c * k for m, c in self._terms.items()})
+            if k.is_zero:
+                return LatticePoly.zero()
+            # parameter polynomials have no zero divisors
+            return LatticePoly._of({m: c * k for m, c in self._terms.items()})
         acc: dict[LatticeMonomial, ParamCoeff] = {}
         for ma, ca in self._terms.items():
             for mb, cb in other._terms.items():
-                m = ma * mb
-                prod = ca * cb
-                acc[m] = acc.get(m, ParamCoeff.zero()) + prod
-        return LatticePoly(acc)
+                _accumulate(acc, ma * mb, ca * cb)
+        return LatticePoly._of(acc)
 
     __rmul__ = __mul__
 
@@ -289,6 +313,21 @@ def _coerce_poly(value: Union[LatticePoly, Scalar]) -> LatticePoly:
     return LatticePoly.const(value)
 
 
+def _accumulate(
+    acc: dict[LatticeMonomial, ParamCoeff], m: LatticeMonomial, c: ParamCoeff
+) -> None:
+    """acc[m] += c, dropping the term when it cancels."""
+    old = acc.get(m)
+    if old is None:
+        acc[m] = c
+    else:
+        v = old + c
+        if v.is_zero:
+            del acc[m]
+        else:
+            acc[m] = v
+
+
 # -- calculus -------------------------------------------------------------------
 
 
@@ -304,9 +343,11 @@ def partial(p: LatticePoly, x: VarRef) -> LatticePoly:
         e = m.exponent(x)
         if e == 0:
             continue
-        rest = LatticeMonomial(m.pairs + ((x, -1),))
-        acc[rest] = acc.get(rest, ParamCoeff.zero()) + c.scale(e)
-    return LatticePoly(acc)
+        rest = LatticeMonomial._of(
+            tuple((y, f - 1 if y == x else f) for y, f in m.pairs if y != x or f != 1)
+        )
+        _accumulate(acc, rest, c.scale(e))
+    return LatticePoly._of(acc)
 
 
 def dir_derivative(p: LatticePoly, directions: Sequence[LatticePoly]) -> LatticePoly:
@@ -319,8 +360,24 @@ def dir_derivative(p: LatticePoly, directions: Sequence[LatticePoly]) -> Lattice
 
 
 def total_time_derivative(p: LatticePoly, sys: "DdeSystem") -> LatticePoly:
-    """Total t-derivative of p on solutions of the evolution system."""
-    return dir_derivative(p, sys.rhs)
+    """Total t-derivative of p on solutions of the evolution system.
+
+    Dt is a derivation that commutes with shifts, so Dt of a monomial m is
+    Dt(canonical_rep(m)) shifted back by canonical_offset(m).  That
+    derivative is computed once per representative and kept on the system
+    (sys.dt_cache).
+    """
+    cache = sys.dt_cache
+    acc: dict[LatticeMonomial, ParamCoeff] = {}
+    for m, c in p._terms.items():
+        r = canonical_offset(m)
+        rep = m.shifted(-r)
+        d = cache.get(rep)
+        if d is None:
+            d = cache[rep] = dir_derivative(LatticePoly._of({rep: _ONE}), sys.rhs)
+        for dm, dc in d._terms.items():
+            _accumulate(acc, dm.shifted(r), dc * c)
+    return LatticePoly._of(acc)
 
 
 # -- shift-equivalence canonical forms ---------------------------------------
@@ -332,10 +389,8 @@ def canonical_offset(m: LatticeMonomial) -> int:
     The canonical representative places the lowest-indexed component present
     at zero shift (its minimal occurrence).
     """
-    if m.is_constant:
-        return 0
-    low = min(m.components())
-    return min(x.shift for x in m.var_refs() if x.comp == low)
+    # the pairs are sorted by (component, shift): the first one is it
+    return m.pairs[0][0].shift if m.pairs else 0
 
 
 def canonical_rep(m: LatticeMonomial) -> LatticeMonomial:
@@ -354,22 +409,19 @@ def delta_decompose(p: LatticePoly) -> tuple[LatticePoly, LatticePoly]:
     canonical: dict[LatticeMonomial, ParamCoeff] = {}
     j_terms: dict[LatticeMonomial, ParamCoeff] = {}
 
-    def bump(store: dict[LatticeMonomial, ParamCoeff], m: LatticeMonomial, c: ParamCoeff):
-        store[m] = store.get(m, ParamCoeff.zero()) + c
-
     for m, c in p._terms.items():
         r = canonical_offset(m)
         rep = m.shifted(-r)
-        bump(canonical, rep, c)
+        _accumulate(canonical, rep, c)
         if r > 0:
             # D^r rep = rep + (D - I)(rep + D rep + ... + D^(r-1) rep)
             for j in range(r):
-                bump(j_terms, rep.shifted(j), c)
+                _accumulate(j_terms, rep.shifted(j), c)
         elif r < 0:
             # D^r rep = rep - (D - I)(D^r rep + ... + D^-1 rep)
             for j in range(r, 0):
-                bump(j_terms, rep.shifted(j), -c)
-    return LatticePoly(canonical), LatticePoly(j_terms)
+                _accumulate(j_terms, rep.shifted(j), -c)
+    return LatticePoly._of(canonical), LatticePoly._of(j_terms)
 
 
 # -- rendering ------------------------------------------------------------------

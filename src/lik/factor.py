@@ -10,8 +10,10 @@ a primitive polynomial that is linear in a parameter, or whose image at an
 integer point is irreducible of the same degree, is irreducible; anything
 else goes through Kronecker substitution.
 
-Only the parametric solver imports this module, at its first factorization,
-so parameter-free runs never load it.
+Only the parametric solver imports this module, at its first factorization
+or pivot test, so parameter-free runs never load it.  A pivot test asks
+whether a pivot is a unit times a product of the branch's nonzero
+conditions; repeated exact division answers that without factoring.
 
 Integer polynomials are dicts {exponent tuple: int} with one exponent per
 parameter of a fixed name tuple and no zero coefficients; univariate
@@ -25,7 +27,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .params import ParamCoeff
 
@@ -39,9 +41,7 @@ def irreducible_factors(pc: ParamCoeff) -> list[ParamCoeff]:
     if pc.is_zero:
         return []
     names = tuple(sorted(pc.parameters()))
-    terms = pc.items()
-    den = math.lcm(*(c.denominator for _, c in terms))
-    f = {tuple(dict(m).get(n, 0) for n in names): int(c * den) for m, c in terms}
+    f = _integral(pc, names)
     return [
         ParamCoeff(
             {
@@ -51,6 +51,28 @@ def irreducible_factors(pc: ParamCoeff) -> list[ParamCoeff]:
         )
         for g in _factor(f)
     ]
+
+
+def divides_into_unit(pc: ParamCoeff, factors: Iterable[ParamCoeff]) -> bool:
+    """Whether pc, with coprime integer coefficients, is +-1 times a product
+    of powers of the given primitive polynomials, by repeated exact division
+    in Z[params].  By Gauss's lemma a primitive factor over Q divides pc in
+    Z[params] too, so no factorization is needed."""
+    names = tuple(sorted(pc.parameters()))
+    f = _integral(pc, names)
+    for g in factors:
+        if g.parameters() <= set(names):
+            g = _integral(g, names)
+            while (q := _divexact(f, g)) is not None:
+                f = q
+    return _is_const(f)
+
+
+def _integral(pc: ParamCoeff, names: tuple[str, ...]) -> IPoly:
+    """pc times the lcm of its denominators, over the given parameters."""
+    terms = pc.items()
+    den = math.lcm(*(c.denominator for _, c in terms))
+    return {tuple(dict(m).get(n, 0) for n in names): int(c * den) for m, c in terms}
 
 
 def _factor(f: IPoly) -> list[IPoly]:

@@ -438,10 +438,16 @@ class _ParametricSolver:
     # -- elimination ------------------------------------------------------
 
     def _invertible(self, c: ParamCoeff, neqs) -> bool:
+        """Whether c is a unit monomial times a product of the nonzero
+        conditions neqs (irreducible and primitive), decided by exact
+        division rather than by factoring c."""
         if c.is_rational or c.is_unit_monomial():
             return True
-        factors = _factor_irreducible(c)
-        return bool(factors) and all(any(f == g for g in neqs) for f in factors)
+        if not neqs:
+            return False
+        from .factor import divides_into_unit
+
+        return divides_into_unit(_normalize_factor(c), neqs)
 
     def _eliminate(self, rows: list[Row], subs, neqs, depth) -> None:
         """Fraction-free Gauss-Jordan elimination on normalized rows."""

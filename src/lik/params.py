@@ -1,5 +1,6 @@
 """Exact coefficient ring: multivariate polynomials in declared scalar
-parameters with Fraction coefficients.
+parameters with exact rational coefficients (int, or Fraction when not
+integral).
 
 With no parameters declared a coefficient degenerates to a plain rational.
 No floating point anywhere.
@@ -8,6 +9,7 @@ No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Union
 
 # A parameter monomial: ((name, exponent), ...) sorted by name, exponents > 0.
@@ -38,31 +40,70 @@ def _pmono_key(m: PMono):
     return (-_pmono_degree(m), tuple((n, -e) for n, e in m))
 
 
+def _combined(a: dict, b: dict, sign: int) -> dict:
+    """The terms of a + sign*b, zeros dropped and integral values as ints."""
+    acc = dict(a)
+    for m, c in b.items():
+        if m in acc:
+            v = acc[m] + c if sign > 0 else acc[m] - c
+            if not v:
+                del acc[m]
+                continue
+            if type(v) is Fraction and v.denominator == 1:
+                v = v.numerator
+            acc[m] = v
+        else:
+            acc[m] = c if sign > 0 else -c
+    return acc
+
+
+def _exact(value: Union[int, Fraction]) -> Union[int, Fraction]:
+    """value as an int when it is integral, else as a Fraction."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)  # bool, or another exact rational type
+    return value.numerator if value.denominator == 1 else value
+
+
 class ParamCoeff:
-    """Polynomial in parameter symbols over exact rationals."""
+    """Polynomial in parameter symbols over exact rationals.
+
+    Each value is stored as an int when it is integral and as a Fraction
+    only otherwise, so products of integer coefficients never build a
+    Fraction.  Accessors that callers divide with (as_fraction, leading,
+    content) return Fractions.
+    """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[PMono, Fraction]):
-        self._terms = {m: c for m, c in terms.items() if c != 0}
+    def __init__(self, terms: Mapping[PMono, Union[int, Fraction]]):
+        self._terms = {m: _exact(c) for m, c in terms.items() if c != 0}
+
+    @classmethod
+    def _of(cls, terms: dict[PMono, Union[int, Fraction]]) -> "ParamCoeff":
+        """Wrap terms that already hold only nonzero exact values."""
+        out = object.__new__(cls)
+        out._terms = terms
+        return out
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls) -> "ParamCoeff":
-        return cls({})
+        return cls._of({})
 
     @classmethod
     def one(cls) -> "ParamCoeff":
-        return cls({_ONE_PM: Fraction(1)})
+        return cls._of({_ONE_PM: 1})
 
     @classmethod
     def from_value(cls, value: Union[int, Fraction]) -> "ParamCoeff":
-        return cls({_ONE_PM: Fraction(value)})
+        return cls({_ONE_PM: value})
 
     @classmethod
     def param(cls, name: str) -> "ParamCoeff":
-        return cls({((name, 1),): Fraction(1)})
+        return cls._of({((name, 1),): 1})
 
     @staticmethod
     def coerce(value: Scalar) -> "ParamCoeff":
@@ -72,7 +113,7 @@ class ParamCoeff:
 
     # -- inspection ----------------------------------------------------
 
-    def items(self) -> list[tuple[PMono, Fraction]]:
+    def items(self) -> list[tuple[PMono, Union[int, Fraction]]]:
         return sorted(self._terms.items(), key=lambda t: _pmono_key(t[0]))
 
     @property
@@ -81,14 +122,15 @@ class ParamCoeff:
 
     @property
     def is_rational(self) -> bool:
-        return all(m == _ONE_PM for m in self._terms)
+        t = self._terms
+        return not t or (len(t) == 1 and _ONE_PM in t)
 
     def as_fraction(self) -> Fraction:
         if not self._terms:
             return Fraction(0)
         if not self.is_rational:
             raise ValueError(f"not a rational constant: {self.render()}")
-        return self._terms[_ONE_PM]
+        return Fraction(self._terms[_ONE_PM])
 
     def parameters(self) -> set[str]:
         return {n for m in self._terms for n, _ in m}
@@ -115,20 +157,15 @@ class ParamCoeff:
         if not self._terms:
             return _ONE_PM, Fraction(0)
         m = min(self._terms, key=_pmono_key)
-        return m, self._terms[m]
+        return m, Fraction(self._terms[m])
 
     def content(self) -> Fraction:
         """Positive rational content (gcd of coefficients), 0 for the zero
         polynomial."""
-        if not self._terms:
-            return Fraction(0)
-        from math import gcd
-
-        num = 0
-        den = 1
+        num, den = 0, 1
         for c in self._terms.values():
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
+            num = gcd(num, c.numerator)
+            den = lcm(den, c.denominator)
         return Fraction(num, den)
 
     def monomial_content(self) -> PMono:
@@ -151,31 +188,46 @@ class ParamCoeff:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: Scalar) -> "ParamCoeff":
-        other = ParamCoeff.coerce(other)
-        acc = dict(self._terms)
-        for m, c in other._terms.items():
-            acc[m] = acc.get(m, Fraction(0)) + c
-        return ParamCoeff(acc)
+        if type(other) is not ParamCoeff:
+            other = ParamCoeff.coerce(other)
+        return ParamCoeff._of(_combined(self._terms, other._terms, 1))
 
     __radd__ = __add__
 
     def __neg__(self) -> "ParamCoeff":
-        return ParamCoeff({m: -c for m, c in self._terms.items()})
+        return ParamCoeff._of({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: Scalar) -> "ParamCoeff":
-        return self + (-ParamCoeff.coerce(other))
+        if type(other) is not ParamCoeff:
+            other = ParamCoeff.coerce(other)
+        return ParamCoeff._of(_combined(self._terms, other._terms, -1))
 
     def __rsub__(self, other: Scalar) -> "ParamCoeff":
-        return ParamCoeff.coerce(other) + (-self)
+        return ParamCoeff.coerce(other) - self
 
     def __mul__(self, other: Scalar) -> "ParamCoeff":
-        other = ParamCoeff.coerce(other)
-        acc: dict[PMono, Fraction] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
+        if type(other) is not ParamCoeff:
+            return self.scale(other)
+        a, b = self._terms, other._terms
+        # a constant factor only scales: no monomial products
+        if len(b) == 1 and _ONE_PM in b:
+            return self.scale(b[_ONE_PM])
+        if len(a) == 1 and _ONE_PM in a:
+            return other.scale(a[_ONE_PM])
+        acc: dict[PMono, Union[int, Fraction]] = {}
+        for ma, ca in a.items():
+            for mb, cb in b.items():
                 m = _pmono_mul(ma, mb)
-                acc[m] = acc.get(m, Fraction(0)) + ca * cb
-        return ParamCoeff(acc)
+                v = ca * cb
+                if m in acc:
+                    v += acc[m]
+                    if not v:
+                        del acc[m]
+                        continue
+                if type(v) is Fraction and v.denominator == 1:
+                    v = v.numerator
+                acc[m] = v
+        return ParamCoeff._of(acc)
 
     __rmul__ = __mul__
 
@@ -187,13 +239,24 @@ class ParamCoeff:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def scale(self, value: Union[int, Fraction]) -> "ParamCoeff":
-        f = Fraction(value)
-        return ParamCoeff({m: c * f for m, c in self._terms.items()})
+        k = _exact(value)
+        if k == 1:
+            return self
+        if not k:
+            return ParamCoeff._of({})
+        terms = {}
+        for m, c in self._terms.items():
+            v = c * k
+            if type(v) is Fraction and v.denominator == 1:
+                v = v.numerator
+            terms[m] = v
+        return ParamCoeff._of(terms)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -210,24 +273,24 @@ class ParamCoeff:
     def coeff_of(self, name: str, power: int) -> "ParamCoeff":
         """Coefficient of name**power, as a polynomial in the remaining
         parameters."""
-        acc: dict[PMono, Fraction] = {}
+        acc: dict[PMono, Union[int, Fraction]] = {}
         for m, c in self._terms.items():
             d = dict(m)
             if d.pop(name, 0) != power:
                 continue
             rest = tuple(sorted(d.items()))
-            acc[rest] = acc.get(rest, Fraction(0)) + c
+            acc[rest] = acc.get(rest, 0) + c
         return ParamCoeff(acc)
 
     def substitute(self, assignment: Mapping[str, "ParamCoeff"]) -> "ParamCoeff":
         out = ParamCoeff.zero()
         for m, c in self._terms.items():
-            piece = ParamCoeff.from_value(c)
+            piece = ParamCoeff._of({_ONE_PM: c})
             for n, e in m:
                 if n in assignment:
                     piece = piece * assignment[n] ** e
                 else:
-                    piece = piece * ParamCoeff({((n, e),): Fraction(1)})
+                    piece = piece * ParamCoeff._of({((n, e),): 1})
             out = out + piece
         return out
 
@@ -240,7 +303,7 @@ class ParamCoeff:
         for m, c in self._terms.items():
             d = dict(m)
             k = d.pop(name, 0)
-            rest = ParamCoeff({tuple(sorted(d.items())): c})
+            rest = ParamCoeff._of({tuple(sorted(d.items())): c})
             out = out + rest * num**k * den ** (clear_to - k)
         return out
 

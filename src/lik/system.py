@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .expr import LatticePoly
+from .expr import LatticeMonomial, LatticePoly
 
 
 @dataclass(frozen=True)
@@ -21,6 +21,11 @@ class DdeSystem:
     rhs: tuple[LatticePoly, ...]
     params: tuple[str, ...] = ()
     weight_pins: dict[int, Fraction] = field(default_factory=dict, compare=False)
+    # Dt of each shift-canonical monomial (expr.total_time_derivative); not
+    # an init field, so dataclasses.replace starts a fresh one
+    dt_cache: dict[LatticeMonomial, LatticePoly] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if len(self.names) != len(self.rhs):

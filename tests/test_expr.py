@@ -1,18 +1,22 @@
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import M, P, UV, monomials, polys
+import dataclasses
+
+from conftest import M, P, PARAM_TODA, TODA, UV, VOLTERRA, monomials, polys
 from lik.expr import (
     LatticePoly,
     VarRef,
     canonical_rep,
     delta_decompose,
+    dir_derivative,
     partial,
     render_poly,
     shift,
     total_time_derivative,
 )
 from lik.params import ParamCoeff
+from lik.parser import parse_expression, parse_system
 
 
 class TestShift:
@@ -72,6 +76,57 @@ class TestTotalTimeDerivative:
         lhs = total_time_derivative(shift(p, r), toda)
         rhs = shift(total_time_derivative(p, toda), r)
         assert lhs == rhs
+
+
+# Dt is memoized per shift-canonical monomial on the system; every call
+# must still equal the direction derivative along the right-hand sides.
+CACHED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+PARAM_COEFFS = st.sampled_from(["1", "a", "-2*b", "a*b - 1", "(1/3)*a^2"])
+
+
+class TestCachedTimeDerivative:
+    @CACHED
+    @given(p=polys(max_shift=4))
+    def test_toda(self, p):
+        sys_ = parse_system(TODA)
+        for _ in range(2):  # a cold cache, then a warm one
+            assert total_time_derivative(p, sys_) == dir_derivative(p, sys_.rhs)
+
+    @CACHED
+    @given(p=polys(n_comp=1, max_shift=4))
+    def test_volterra(self, p):
+        sys_ = parse_system(VOLTERRA)
+        for _ in range(2):
+            assert total_time_derivative(p, sys_) == dir_derivative(p, sys_.rhs)
+
+    @CACHED
+    @given(p=polys(max_shift=4), k=PARAM_COEFFS)
+    def test_parameterized_toda(self, p, k):
+        sys_ = parse_system(PARAM_TODA)
+        p = p * parse_expression(k, UV, sys_.params) + p.shifted(1)
+        for _ in range(2):
+            assert total_time_derivative(p, sys_) == dir_derivative(p, sys_.rhs)
+
+    def test_systems_with_equal_names_share_no_entry(self):
+        volterra = parse_system(VOLTERRA)
+        modified = parse_system("u' = u[0]^2*(u[1] - u[-1])\n")
+        replaced = dataclasses.replace(volterra, rhs=modified.rhs)
+        p = P("u[0]*u[1] + u[-2]")
+        first = total_time_derivative(p, volterra)
+        assert first == dir_derivative(p, volterra.rhs)
+        for other in (modified, replaced):
+            got = total_time_derivative(p, other)
+            assert got == dir_derivative(p, modified.rhs)
+            assert got != first
+        assert total_time_derivative(p, volterra) == first
+
+    def test_cache_leaves_equality_hash_and_repr_alone(self):
+        warm, cold = parse_system(TODA), parse_system(TODA)
+        before = (hash(warm), repr(warm))
+        total_time_derivative(P("u[0]^2*v[3] + v[-1]"), warm)
+        assert warm == cold
+        assert (hash(warm), repr(warm)) == before == (hash(cold), repr(cold))
+        assert warm != parse_system(PARAM_TODA)
 
 
 class TestCanonicalRep:

@@ -30,12 +30,22 @@ SCALED_VOLTERRA = "tests/golden/scaled_volterra.dde"
 FREE_SCALE = "tests/golden/free_scale.dde"
 TODA_OPERATOR = "tests/golden/toda_operator.txt"
 BROKEN_OPERATOR = "tests/golden/broken_operator.txt"
+BOGOYAVLENSKII = "perfbench/systems/bogoyavlenskii.dde"
+# two parameters: many pivots are products of earlier nonzero conditions
+TWO_PARAM_BOGOYAVLENSKII = "tests/golden/bogoyavlenskii_two_params.dde"
 
 CASES = [
     ("toda-densities-6", 0, ("densities", "--max-rank", "6", "systems/toda.dde")),
     ("toda-densities-rank-9", 0, ("densities", "--rank", "9", "systems/toda.dde")),
+    ("toda-densities-10", 0, ("densities", "--max-rank", "10", "systems/toda.dde")),
     ("toda-symmetries-4", 0, ("symmetries", "--levels", "4", "systems/toda.dde")),
     ("toda-recursion", 0, ("recursion", "systems/toda.dde")),
+    ("toda-recursion-4", 0, ("recursion", "--levels", "4", "systems/toda.dde")),
+    (
+        "bogoyavlenskii-densities-5",
+        0,
+        ("densities", "--max-rank", "5", BOGOYAVLENSKII),
+    ),
     ("volterra-recursion", 0, ("recursion", "systems/volterra.dde")),
     ("broken-toda-recursion", 2, ("recursion", "systems/broken_toda.dde")),
     ("param-toda-symmetries-3-4", 0, ("symmetries", "--ranks", "3,4", PARAM_TODA)),
@@ -53,6 +63,11 @@ CASES = [
         ("symmetries", "--levels", "3", PARAM_VOLTERRA),
     ),
     ("param-scaled-volterra-recursion", 0, ("recursion", SCALED_VOLTERRA)),
+    (
+        "param-bogoyavlenskii-densities-4",
+        0,
+        ("densities", "--max-rank", "4", TWO_PARAM_BOGOYAVLENSKII),
+    ),
     ("free-scale-weights-pinned", 0, ("weights", "--weight", "u=3", FREE_SCALE)),
     (
         "toda-verify-operator",

@@ -391,3 +391,61 @@ class TestParametricOracle:
 def test_fresh_tags_avoid_reserved():
     assert fresh_tags(3, ()) == ("c1", "c2", "c3")
     assert fresh_tags(2, ("c1",)) == ("k1", "k2")
+
+
+# -- invertible pivots: a unit monomial times nonzero conditions -------------
+
+from hypothesis import settings  # noqa: E402
+
+from lik import factor, linalg  # noqa: E402
+
+A, B = ParamCoeff.param("a"), ParamCoeff.param("b")
+# irreducible, normalized as the solver keeps its nonzero conditions
+CONDITION_POOL = [A - 1, A + B, A * B - 1, A - 2 * B, B**2 + A, A + B - 2]
+
+
+def _conditions(polys):
+    return tuple(linalg._normalize_factor(p) for p in polys)
+
+
+def _invertible_by_factoring(c, neqs):
+    """The answer from the full factorization: every irreducible factor of
+    c that can vanish is an assumed nonzero condition."""
+    if c.is_rational or c.is_unit_monomial():
+        return True
+    factors = linalg._factor_irreducible(c)
+    return bool(factors) and all(any(f == g for g in neqs) for f in factors)
+
+
+class TestInvertiblePivot:
+    def test_products_of_conditions_decided_without_factoring(self, monkeypatch):
+        def refuse(pc):
+            raise AssertionError(f"factored {pc.render()}")
+
+        monkeypatch.setattr(factor, "irreducible_factors", refuse)
+        linalg._factors_of_normalized.cache_clear()
+        solver = linalg._ParametricSolver(("c1",))
+        neqs = _conditions([A - 1, A + B, B**2 + A])
+        yes = [
+            (A - 1) * (A + B) * Fraction(3, 2),
+            (A - 1) ** 3 * (B**2 + A) * A**2 * B * -7,
+            (A + B) ** 2,
+        ]
+        no = [(A - 1) * (A - 2), (A + B) * (A * B - 1), A * B - 1, (A - 1) ** 2 * (A + 2)]
+        assert [solver._invertible(c, neqs) for c in yes] == [True] * 3
+        assert [solver._invertible(c, neqs) for c in no] == [False] * 4
+        assert solver._invertible(A * B * 5, ()) and solver._invertible(R(3), ())
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        st.lists(st.integers(0, len(CONDITION_POOL) - 1), min_size=1, max_size=4),
+        st.lists(st.integers(0, len(CONDITION_POOL) - 1), max_size=4),
+        st.sampled_from([R(1), R(-2), A, A * B * Fraction(1, 3)]),
+    )
+    def test_matches_the_factorization(self, picked, assumed, unit):
+        c = unit
+        for k in picked:
+            c = c * CONDITION_POOL[k]
+        neqs = _conditions(CONDITION_POOL[k] for k in assumed)
+        solver = linalg._ParametricSolver(("c1",))
+        assert solver._invertible(c, neqs) == _invertible_by_factoring(c, neqs)
