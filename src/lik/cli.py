@@ -319,7 +319,7 @@ def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
@@ -436,9 +436,8 @@ def _cmd_densities(args, sys_: DdeSystem, w: WeightVector, report: Report) -> in
         ranks = achievable_ranks(w, _parse_rational(args.max_rank, positive=True))
     found = 0
     for rank in ranks:
-        try:
-            cand = build_density_candidate(sys_, w, rank)
-        except ValueError:
+        cand = build_density_candidate(sys_, w, rank)
+        if cand is None:
             continue
         results, branches = solve_density(cand, sys_, depth)
         for r in results:
@@ -472,9 +471,8 @@ def _cmd_symmetries(args, sys_: DdeSystem, w: WeightVector, report: Report) -> i
             rank_vectors.append(level_ranks(sys_, w, level, args.gap))
     found = 0
     for ranks in rank_vectors:
-        try:
-            cand = build_symmetry_candidate(sys_, w, ranks)
-        except ValueError:
+        cand = build_symmetry_candidate(sys_, w, ranks)
+        if cand is None:
             continue
         if args.normalize is not None and args.normalize not in cand.unknowns:
             raise UsageError(
@@ -517,7 +515,7 @@ def _cmd_recursion(args, sys_: DdeSystem, w: WeightVector, report: Report) -> in
     return EXIT_VERIFY_FAIL if family.startswith("verification") else EXIT_NO_RESULT
 
 
-def _cmd_verify(args, sys_: DdeSystem, w: WeightVector, report: Report) -> int:
+def _cmd_verify(args, sys_: DdeSystem, w: WeightVector | None, report: Report) -> int:
     if args.density:
         assigns = dict_of_assignments(args.density, sys_)
         for key in ("rho", "flux"):
@@ -601,8 +599,14 @@ def main(argv: list[str] | None = None) -> int:
         }[args.command]
         sys_ = _load_system(args.file, args.weight)
         report = Report(args.command, sys_)
-        w = _resolve_weights(sys_)
-        report.set_weights(w)
+        try:
+            w = _resolve_weights(sys_)
+        except (ScalingError, _NoResult):
+            if args.command != "verify":  # verification needs no weights
+                raise
+            w = None
+        else:
+            report.set_weights(w)
         code = handler(args, sys_, w, report)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -610,10 +614,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ScalingError as exc:
-        print(f"no result: {exc}", file=sys.stderr)
-        return EXIT_NO_RESULT
-    except _NoResult as exc:
+    except (ScalingError, _NoResult) as exc:
         print(f"no result: {exc}", file=sys.stderr)
         return EXIT_NO_RESULT
     sys.stdout.write(report.to_json() if args.json else report.to_text())

@@ -58,12 +58,13 @@ class DensityResult:
 
 def build_density_candidate(
     sys: DdeSystem, w: WeightVector, rank: Fraction
-) -> DensityCandidate:
-    """Linear combination of the rank-complete canonical blocks."""
+) -> DensityCandidate | None:
+    """Linear combination of the rank-complete canonical blocks; None when
+    no block has the rank."""
     rank = Fraction(rank)
     blocks = building_blocks(sys, w, rank, canonicalize=True)
     if not blocks:
-        raise ValueError(f"no density candidate at rank {rank}")
+        return None
     tags = fresh_tags(len(blocks), sys.params)
     return DensityCandidate(rank, blocks, tags)
 

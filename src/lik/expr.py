@@ -82,9 +82,6 @@ class LatticeMonomial:
     def var_refs(self) -> tuple[VarRef, ...]:
         return tuple(x for x, _ in self._vars)
 
-    def components(self) -> set[int]:
-        return {x.comp for x, _ in self._vars}
-
     # -- algebra ---------------------------------------------------------
 
     def __mul__(self, other: "LatticeMonomial") -> "LatticeMonomial":
@@ -185,9 +182,6 @@ class LatticePoly:
         for m in self._terms:
             seen.update(m.var_refs())
         return sorted(seen)
-
-    def components(self) -> set[int]:
-        return {x.comp for x in self.var_refs()}
 
     def parameters(self) -> set[str]:
         out: set[str] = set()
@@ -331,11 +325,6 @@ def _accumulate(
 # -- calculus -------------------------------------------------------------------
 
 
-def shift(p: LatticePoly, r: int) -> LatticePoly:
-    """Apply the shift operator D**r to every variable of p."""
-    return p.shifted(r)
-
-
 def partial(p: LatticePoly, x: VarRef) -> LatticePoly:
     """Formal partial derivative with the Laurent power rule."""
     acc: dict[LatticeMonomial, ParamCoeff] = {}
@@ -398,6 +387,15 @@ def canonical_rep(m: LatticeMonomial) -> LatticeMonomial:
     return m.shifted(-canonical_offset(m))
 
 
+def shift_correction(a: int) -> list[tuple[int, int]]:
+    """(sign, shift) pairs of the telescoping rule
+    D^a = I + (D - I) sum sign*D^shift, hence also
+    D^a (D-I)^-1 = (D-I)^-1 + sum sign*D^shift."""
+    if a > 0:
+        return [(1, j) for j in range(a)]
+    return [(-1, j) for j in range(a, 0)]
+
+
 def delta_decompose(p: LatticePoly) -> tuple[LatticePoly, LatticePoly]:
     """Split p = canonical + (D - I) J.
 
@@ -413,14 +411,8 @@ def delta_decompose(p: LatticePoly) -> tuple[LatticePoly, LatticePoly]:
         r = canonical_offset(m)
         rep = m.shifted(-r)
         _accumulate(canonical, rep, c)
-        if r > 0:
-            # D^r rep = rep + (D - I)(rep + D rep + ... + D^(r-1) rep)
-            for j in range(r):
-                _accumulate(j_terms, rep.shifted(j), c)
-        elif r < 0:
-            # D^r rep = rep - (D - I)(D^r rep + ... + D^-1 rep)
-            for j in range(r, 0):
-                _accumulate(j_terms, rep.shifted(j), -c)
+        for sign, j in shift_correction(r):
+            _accumulate(j_terms, rep.shifted(j), c if sign > 0 else -c)
     return LatticePoly._of(canonical), LatticePoly._of(j_terms)
 
 

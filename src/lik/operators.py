@@ -29,6 +29,7 @@ from .expr import (
     delta_decompose,
     dir_derivative,
     render_poly,
+    shift_correction,
     term_key,
 )
 from .params import ParamCoeff
@@ -50,13 +51,6 @@ class NonlocalOpTerm:
     left: LatticePoly
     right: LatticePoly
     power: int
-
-
-def _shift_correction(a: int) -> list[tuple[int, int]]:
-    """(sign, shift) pairs with D^a (D-I)^-1 = (D-I)^-1 + sum sign*D^shift."""
-    if a > 0:
-        return [(1, j) for j in range(a)]
-    return [(-1, j) for j in range(a, 0)]
 
 
 class ExtendedExpr:
@@ -95,10 +89,6 @@ class ExtendedExpr:
             merged[k] for k in sorted(merged) if not merged[k][1].is_zero
         )
 
-    @classmethod
-    def from_poly(cls, p: LatticePoly) -> "ExtendedExpr":
-        return cls(p)
-
     @property
     def is_zero(self) -> bool:
         return self.local.is_zero and not self.thetas
@@ -135,7 +125,7 @@ class ExtendedExpr:
         for arg, cof in self.thetas:
             cof_r = cof.shifted(r)
             thetas.append((arg, cof_r))
-            for sign, j in _shift_correction(r):
+            for sign, j in shift_correction(r):
                 local = local + cof_r * arg.shifted(j) * sign
         return ExtendedExpr(local, thetas)
 
@@ -172,7 +162,7 @@ class OpEntry:
             if t.power:
                 # right*D^k = D^k*right[-k], and D^k commutes with (D-I)^-1
                 right = right.shifted(-t.power)
-                for sign, j in _shift_correction(t.power):
+                for sign, j in shift_correction(t.power):
                     by_power[j] = (
                         by_power.get(j, LatticePoly.zero())
                         + left * right.shifted(j) * sign
@@ -267,7 +257,7 @@ class OpEntry:
             for b in other.nonlocals:
                 base = a.cof * b.left.shifted(a.power)
                 nl.append(NonlocalOpTerm(base, b.right, 0))
-                for sign, j in _shift_correction(a.power):
+                for sign, j in shift_correction(a.power):
                     loc.append(LocalOpTerm(base * b.right.shifted(j) * sign, j))
         for a in self.nonlocals:
             for b in other.locals:
@@ -297,7 +287,7 @@ class OpEntry:
 
     def apply(self, g: Union[LatticePoly, ExtendedExpr]) -> ExtendedExpr:
         if isinstance(g, LatticePoly):
-            g = ExtendedExpr.from_poly(g)
+            g = ExtendedExpr(g)
         acc = ExtendedExpr()
         for t in self.locals:
             acc = acc + g.shifted(t.power).scale(t.cof)
@@ -358,12 +348,7 @@ class DiffOperator:
         )
 
     def __sub__(self, other: "DiffOperator") -> "DiffOperator":
-        return DiffOperator(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+        return self + other.scale(-1)
 
     def scale(self, k: Union[int, Fraction, ParamCoeff]) -> "DiffOperator":
         return DiffOperator([[e.scale(k) for e in row] for row in self.entries])

@@ -129,15 +129,27 @@ class _ExprParser:
     # -- grammar -------------------------------------------------------------
 
     def parse_poly(self) -> LatticePoly:
-        value = self.sum_()
-        self.expect("end")
+        value = self.whole()
         assert isinstance(value, LatticePoly)
         return value
 
     def parse_entry(self) -> OpEntry:
-        value = self.sum_()
-        self.expect("end")
+        value = self.whole()
         return value if isinstance(value, OpEntry) else OpEntry.local(value)
+
+    def whole(self):
+        """The line's one expression, up to its end."""
+        try:
+            value = self.sum_()
+        except RecursionError:
+            # reported where the expression starts: the token at which the
+            # stack ran out depends on how deep the caller's stack already was
+            start = self.tokens[0]
+            raise ParseError(
+                "expression nested too deeply", start.line, start.col
+            ) from None
+        self.expect("end")
+        return value
 
     def sum_(self):
         value = self.term()

@@ -199,9 +199,8 @@ def default_covariants(
             bound = b if bound is None else max(bound, b)
     if bound is not None and bound >= 1:
         for rank in achievable_ranks(w, bound):
-            try:
-                cand = build_density_candidate(sys, w, rank)
-            except ValueError:
+            cand = build_density_candidate(sys, w, rank)
+            if cand is None:
                 continue
             results, _ = solve_density(cand, sys, max_depth)
             for r in results:
@@ -280,7 +279,6 @@ def identity_residual(
 class RecursionOutcome:
     operator: DiffOperator | None
     coefficients: dict[str, Fraction] = field(default_factory=dict)
-    candidate: OperatorCandidate | None = None
     generated: list[tuple[int, tuple[LatticePoly, ...]]] = field(default_factory=list)
     checks: list[str] = field(default_factory=list)
     failure_family: str | None = None
@@ -351,7 +349,6 @@ def solve_recursion(
     if not cand.unknowns:
         return RecursionOutcome(
             None,
-            candidate=cand,
             failure_family="candidate",
             message="empty operator candidate at the required ranks",
         )
@@ -400,7 +397,6 @@ def solve_recursion(
         except LinearSolveError:
             return RecursionOutcome(
                 None,
-                candidate=cand,
                 failure_family="coefficient-determination",
                 message="parameterized coefficient system: pin the system "
                 "parameters to rationals first",
@@ -409,7 +405,6 @@ def solve_recursion(
         if outcome.dimension == 0:
             return RecursionOutcome(
                 None,
-                candidate=cand,
                 failure_family="generation",
                 message="the generation and commutator constraints admit "
                 "only the zero operator",
@@ -420,7 +415,6 @@ def solve_recursion(
             if mu1 is None or mu1.as_fraction() == 0:
                 return RecursionOutcome(
                     None,
-                    candidate=cand,
                     failure_family="generation",
                     message="no operator maps the first symmetry to the "
                     "second (scale coefficient vanishes)",
@@ -430,7 +424,6 @@ def solve_recursion(
     if solution is None:
         return RecursionOutcome(
             None,
-            candidate=cand,
             failure_family="coefficient-determination",
             message=f"solution space still {last_dim}-dimensional after "
             "using every supplied symmetry pair",
@@ -441,23 +434,19 @@ def solve_recursion(
         for tag in cand.unknowns
     }
     operator = cand.assemble(coeffs)
-    return _verify(sys, w, operator, coeffs, cand, symmetries, fp, gap)
+    return _verify(sys, operator, coeffs, symmetries, fp, gap)
 
 
 def _verify(
     sys: DdeSystem,
-    w: WeightVector,
     operator: DiffOperator,
     coeffs: dict[str, Fraction],
-    cand: OperatorCandidate,
     symmetries: Sequence[SymmetryResult],
     fp: DiffOperator,
     gap: int,
 ) -> RecursionOutcome:
     checks: list[str] = []
-    out = RecursionOutcome(
-        operator, coeffs, cand, checks=checks
-    )
+    out = RecursionOutcome(operator, coeffs, checks=checks)
     residual_op = identity_residual(operator, sys, fp)
     for k, g in enumerate(symmetries, start=1):
         res = residual_op.apply(list(g.components))
@@ -529,9 +518,8 @@ def recursion_pipeline(
     level_info = []
     for level in range(1, levels + 1):
         ranks = level_ranks(sys, w, level, 1)
-        try:
-            cand = build_symmetry_candidate(sys, w, ranks)
-        except ValueError:
+        cand = build_symmetry_candidate(sys, w, ranks)
+        if cand is None:
             return (
                 RecursionOutcome(
                     None,

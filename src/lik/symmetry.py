@@ -76,8 +76,9 @@ class SymmetryResult:
 
 def build_symmetry_candidate(
     sys: DdeSystem, w: WeightVector, ranks: Sequence[Fraction]
-) -> SymmetryCandidate:
-    """One rank-exact block list per component, all shifts kept."""
+) -> SymmetryCandidate | None:
+    """One rank-exact block list per component, all shifts kept; None when
+    some component has no block of its rank."""
     if len(ranks) != sys.n:
         raise ValueError("one target rank per component required")
     ranks = tuple(Fraction(r) for r in ranks)
@@ -85,7 +86,7 @@ def build_symmetry_candidate(
         building_blocks(sys, w, r, canonicalize=False) for r in ranks
     )
     if any(not b for b in blocks):
-        raise ValueError(f"no symmetry candidate at ranks {ranks}")
+        return None
     tags = fresh_tags(sum(len(b) for b in blocks), sys.params)
     return SymmetryCandidate(ranks, blocks, tags)
 

@@ -22,7 +22,6 @@ from lik.expr import (
     canonical_rep,
     delta_decompose,
     render_poly,
-    shift,
 )
 from lik.operators import LocalOpTerm, NonlocalOpTerm, OpEntry
 from lik.params import ParamCoeff
@@ -225,7 +224,7 @@ def test_criterion_8a_decomposition_round_trip():
     for _ in range(1000):
         p = _rand_poly(rng, laurent=True)
         can, j = delta_decompose(p)
-        assert can + shift(j, 1) - j == p
+        assert can + j.shifted(1) - j == p
         for m in can.monomials():
             assert canonical_rep(m) == m
         m = _rand_monomial(rng, laurent=True)

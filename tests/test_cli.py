@@ -1,12 +1,15 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from conftest import BROKEN_TODA, PARAM_TODA, TODA
 from lik.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 try:
     from importlib.resources import files
@@ -192,6 +195,34 @@ class TestVerify:
         )
         code, out, _ = run(capsys, "verify", "--operator", str(broken), toda_file)
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "system, certificate",
+        [
+            # not dilation invariant: the rank balance is inconsistent
+            ("u' = u[1] - u[0]\n", "rho = u[0]\nflux = -u[0]\n"),
+            # a free scale: the weights are underdetermined
+            (GOLDEN / "free_scale.dde", "rho = u[0]\nflux = 0\n"),
+        ],
+        ids=["not-invariant", "free-scale"],
+    )
+    def test_without_weights(self, capsys, tmp_path, schema, system, certificate):
+        # verification uses no weights, so it runs when they fail
+        if isinstance(system, str):
+            (tmp_path / "system.dde").write_text(system)
+            system = tmp_path / "system.dde"
+        f = tmp_path / "rho.txt"
+        f.write_text(certificate)
+        code, out, _ = run(
+            capsys, "verify", "--density", str(f), "--json", str(system)
+        )
+        assert code == 0
+        doc = json.loads(out)
+        jsonschema.validate(doc, schema)
+        assert doc["weights"] is None
+        assert doc["verification"][0]["verdict"] == "pass"
+        code, _, err = run(capsys, "weights", str(system))
+        assert code == 2 and err.startswith("no result: ")
 
 
 class TestDiagnostics:

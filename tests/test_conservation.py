@@ -10,7 +10,7 @@ from lik.conservation import (
     is_trivial,
     solve_density,
 )
-from lik.expr import delta_decompose, shift, total_time_derivative
+from lik.expr import delta_decompose, total_time_derivative
 from lik.params import ParamCoeff
 from lik.scaling import rank_of
 
@@ -63,7 +63,7 @@ class TestSolve:
         (r,) = toda_densities[1]
         # Dt(u) = v[-1] - v[0] = (D - I)(-v[-1])
         assert total_time_derivative(r.density, toda) == P("v[-1] - v[0]")
-        assert shift(-r.flux, 1) - (-r.flux) == P("v[-1] - v[0]")
+        assert (-r.flux).shifted(1) - (-r.flux) == P("v[-1] - v[0]")
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5, 6])
     def test_conservation_identity(self, toda, toda_densities, rank):
@@ -88,7 +88,7 @@ class TestSolve:
     def test_shift_stability(self, toda, toda_densities, k):
         (r,) = toda_densities[3]
         assert conservation_residual(
-            shift(r.density, k), shift(r.flux, k), toda
+            r.density.shifted(k), r.flux.shifted(k), toda
         ).is_zero
 
     def test_every_rank_one_density(self, toda_densities):
@@ -131,7 +131,7 @@ class TestTrivialityAndEquivalence:
 
     def test_shifted_density_equivalent(self, toda_densities):
         (r,) = toda_densities[2]
-        assert equivalent(r.density, shift(r.density, 4)) == Fraction(-1)
+        assert equivalent(r.density, r.density.shifted(4)) == Fraction(-1)
 
     def test_unrelated_not_equivalent(self):
         assert equivalent(P("u[0]"), P("v[0]")) is None
@@ -139,7 +139,7 @@ class TestTrivialityAndEquivalence:
     def test_scaled_plus_exact(self, toda_densities):
         (r,) = toda_densities[3]
         rho1 = r.density * 2
-        rho2 = r.density + shift(P("u[0]*v[0]"), 1) - P("u[0]*v[0]")
+        rho2 = r.density + P("u[0]*v[0]").shifted(1) - P("u[0]*v[0]")
         assert equivalent(rho1, rho2) == Fraction(-2)
 
 

@@ -12,7 +12,6 @@ from lik.expr import (
     dir_derivative,
     partial,
     render_poly,
-    shift,
     total_time_derivative,
 )
 from lik.params import ParamCoeff
@@ -21,22 +20,22 @@ from lik.parser import parse_expression, parse_system
 
 class TestShift:
     def test_single_variable(self):
-        assert shift(P("u[0]"), 1) == P("u[1]")
+        assert P("u[0]").shifted(1) == P("u[1]")
 
     def test_product_shifts_both(self):
-        assert shift(P("u[-1]*v[1]"), 1) == P("u[0]*v[2]")
+        assert P("u[-1]*v[1]").shifted(1) == P("u[0]*v[2]")
 
     def test_constants_invariant(self):
-        assert shift(P("7"), -5) == P("7")
+        assert P("7").shifted(-5) == P("7")
 
     def test_inverse(self):
         p = P("u[0]^2*v[-2] - 3*v[1]")
-        assert shift(shift(p, 3), -3) == p
+        assert p.shifted(3).shifted(-3) == p
 
     @given(polys(), polys(), st.integers(-3, 3))
     def test_ring_morphism(self, p, q, r):
-        assert shift(p * q, r) == shift(p, r) * shift(q, r)
-        assert shift(p + q, r) == shift(p, r) + shift(q, r)
+        assert (p * q).shifted(r) == p.shifted(r) * q.shifted(r)
+        assert (p + q).shifted(r) == p.shifted(r) + q.shifted(r)
 
 
 class TestPartial:
@@ -73,8 +72,8 @@ class TestTotalTimeDerivative:
 
     @given(p=polys(), r=st.integers(-3, 3))
     def test_commutes_with_shift(self, toda, p, r):
-        lhs = total_time_derivative(shift(p, r), toda)
-        rhs = shift(total_time_derivative(p, toda), r)
+        lhs = total_time_derivative(p.shifted(r), toda)
+        rhs = total_time_derivative(p, toda).shifted(r)
         assert lhs == rhs
 
 
@@ -187,7 +186,7 @@ class TestDeltaDecompose:
     @given(polys(max_vars=3))
     def test_round_trip(self, p):
         can, j = delta_decompose(p)
-        assert can + shift(j, 1) - j == p
+        assert can + j.shifted(1) - j == p
         for m in can.monomials():
             assert canonical_rep(m) == m
 
@@ -219,7 +218,7 @@ class TestAntidifference:
     def test_correct_when_exact(self, p):
         canonical, j = delta_decompose(p)
         if canonical.is_zero:
-            assert shift(j, 1) - j == p
+            assert j.shifted(1) - j == p
 
 
 class TestRendering:
