@@ -28,7 +28,7 @@ from .conservation import (
 )
 from .expr import LatticePoly, render_poly
 from .linalg import Branch
-from .operators import DiffOperator, render_entry
+from .operators import DiffOperator, render_operator
 from .params import ParamCoeff
 from .parser import (
     ParseError,
@@ -38,7 +38,13 @@ from .parser import (
     parse_rational,
     parse_system,
 )
-from .recursion import RecursionOutcome, identity_residual, recursion_pipeline
+from .recursion import (
+    RecursionOutcome,
+    generation_step,
+    identity_residual,
+    identity_vanishes,
+    recursion_pipeline,
+)
 from .scaling import (
     ScalingError,
     WeightFamily,
@@ -109,6 +115,7 @@ class Report:
             "verification": [],
         }
         self.names = sys_.names
+        self.recursion_verdict = ""  # the text verdict line, set by set_recursion
 
     def set_weights(self, w: WeightVector):
         self.doc["weights"] = {
@@ -165,16 +172,15 @@ class Report:
             )
 
     def set_recursion(self, outcome: RecursionOutcome):
-        operator = outcome.operator
-        entries = []
-        if operator is not None:
-            n = operator.n
-            for i in range(n):
-                for j in range(n):
-                    entries.append(
-                        f"R[{i + 1}][{j + 1}] = "
-                        f"{render_entry(operator.entries[i][j], self.names)}"
-                    )
+        if outcome.ok:
+            levels = ", ".join(f"G({level})" for level, _ in outcome.generated)
+            self.recursion_verdict = f"generates {levels}: verified"
+            entries = render_operator(outcome.operator, self.names).split("\n")
+        else:
+            self.recursion_verdict = (
+                f"no operator ({outcome.failure_family}): {outcome.message}"
+            )
+            entries = []
         self.doc["recursion_operator"] = {
             "entries": entries,
             "coefficients": {
@@ -252,12 +258,7 @@ class Report:
                 )
             for c in r["checks"]:
                 lines.append(f"  check: {c}")
-            if r["verified"]:
-                lines.append("  verdict: " + self._recursion_verdict(r))
-            else:
-                lines.append(
-                    f"  verdict: no operator ({r['failure_family']}): {r['message']}"
-                )
+            lines.append(f"  verdict: {self.recursion_verdict}")
         if d["conditions"]:
             lines.append("conditions:")
             for e in d["conditions"]:
@@ -271,17 +272,6 @@ class Report:
                     f"  {e['subject']}: {e['identity']}: {e['verdict']}"
                 )
         return "\n".join(lines) + "\n"
-
-    def _recursion_verdict(self, r: dict) -> str:
-        levels = []
-        for c in r["checks"]:
-            if c.startswith("R G(1) = G("):
-                levels.append(c[len("R G(1) = "):].split()[0])
-            elif c.startswith("generated G("):
-                levels.append(c.split()[1].rstrip(":"))
-        if levels:
-            return "generates " + ", ".join(levels) + ": verified"
-        return "verified"
 
 
 # -- argument handling -----------------------------------------------------------
@@ -501,13 +491,11 @@ def _cmd_recursion(args, sys_: DdeSystem, w: WeightVector, report: Report) -> in
         raise UsageError("--gap must be at least 1")
     if args.levels < 1:
         raise UsageError("--levels must be at least 1")
-    outcome, level_info = recursion_pipeline(
+    outcome, symmetries = recursion_pipeline(
         sys_, w, levels=args.levels, gap=args.gap, max_depth=depth
     )
-    for _level, _ranks, results, _branches in level_info:
-        for r in results:
-            if not r.eq_conditions:
-                report.add_symmetry(r)
+    for r in symmetries:
+        report.add_symmetry(r)
     report.set_recursion(outcome)
     if outcome.ok:
         return EXIT_OK
@@ -556,27 +544,23 @@ def _verify_operator(sys_: DdeSystem, op: DiffOperator, report: Report) -> bool:
     The seed of the chain is the time-translation symmetry, which is the
     right-hand side itself.
     """
-    fp = frechet_operator(sys_.rhs)
-    residual_op = identity_residual(op, sys_, fp)
+    residual_op = identity_residual(op, sys_, frechet_operator(sys_.rhs))
     ok = True
     chain = [list(sys_.rhs)]
     for step in range(1, 4):
-        nxt = op.apply(chain[-1])
+        polys, holds = generation_step(op, chain[-1], sys_)
         subject = f"operator: level {step + 1} from level {step}"
-        if not all(x.is_local for x in nxt):
+        if polys is None:
             report.add_verification(
                 subject, "generated symmetry is local", False
             )
             ok = False
             break
-        polys = [x.local for x in nxt]
-        good = all(x.is_zero for x in symmetry_residual(polys, sys_))
-        report.add_verification(subject, "Dt(G) - F'[G] = 0", good)
-        ok &= good
+        report.add_verification(subject, "Dt(G) - F'[G] = 0", holds)
+        ok &= holds
         chain.append(polys)
     for k, g in enumerate(chain[:3], start=1):
-        res = residual_op.apply(g)
-        good = all(x.is_zero for x in res)
+        good = identity_vanishes(residual_op, g)
         report.add_verification(
             f"operator: probe on level {k}",
             "(R'[F] + R o F' - F' o R) G = 0",

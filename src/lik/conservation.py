@@ -53,7 +53,6 @@ class DensityResult:
     flux_decomposition: LatticePoly
     normalization: str
     eq_conditions: tuple[ParamCoeff, ...] = ()
-    neq_conditions: tuple[ParamCoeff, ...] = ()
 
 
 def build_density_candidate(
@@ -135,7 +134,6 @@ def solve_density(
                     flux_decomposition=flux,
                     normalization=note,
                     eq_conditions=br.eq_conditions,
-                    neq_conditions=br.neq_conditions,
                 )
             )
     return _drop_equivalent(results), branches

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .params import ParamCoeff, Scalar
+from .params import ParamCoeff, Scalar, join_signed
 
 if TYPE_CHECKING:  # pragma: no cover
     from .system import DdeSystem
@@ -431,29 +431,18 @@ def render_monomial(m: LatticeMonomial, names: Sequence[str]) -> str:
 
 def _coeff_prefix(c: ParamCoeff) -> tuple[str, str]:
     """(sign, factor-string) for a coefficient; empty factor means 1."""
-    if c.is_rational:
-        f = c.as_fraction()
-        sign = "-" if f < 0 else "+"
-        mag = abs(f)
-        if mag == 1:
-            return sign, ""
-        if mag.denominator == 1:
-            return sign, str(mag.numerator)
-        return sign, f"({mag.numerator}/{mag.denominator})"
-    items = c.items()
-    if len(items) == 1:
-        m, f = items[0]
-        sign = "-" if f < 0 else "+"
-        body = ParamCoeff({m: abs(f)}).render()
+    terms = c.signed_terms()
+    if len(terms) == 1:
+        sign, body = terms[0]
         return sign, body if body != "1" else ""
-    return "+", f"({c.render()})"
+    return "+", f"({join_signed(terms)})"
 
 
 def render_poly(p: LatticePoly, names: Sequence[str]) -> str:
     """Deterministic plain-text form; parses back to exactly p."""
     if p.is_zero:
         return "0"
-    pieces: list[str] = []
+    pieces: list[tuple[str, str]] = []
     for m, c in p.items():
         sign, factor = _coeff_prefix(c)
         mono = render_monomial(m, names)
@@ -463,8 +452,5 @@ def render_poly(p: LatticePoly, names: Sequence[str]) -> str:
             body = f"{factor}*{mono}"
         else:
             body = mono
-        if not pieces:
-            pieces.append(body if sign == "+" else "-" + body)
-        else:
-            pieces.append(("+ " if sign == "+" else "- ") + body)
-    return " ".join(pieces)
+        pieces.append((sign, body))
+    return join_signed(pieces)

@@ -9,7 +9,10 @@ inverse difference via
     D^a (D-I)^-1 = (D-I)^-1 - D^-1 - ... - D^a           (a < 0),
 
 so a trailing shift is folded away: B (D-I)^-1 C D^b becomes
-B (D-I)^-1 C[-b] plus local terms, and equal operators compare equal.
+B (D-I)^-1 C[-b] plus local terms.  C is then split into its monomials,
+each with coefficient 1 (B (D-I)^-1 (c m + C') = c B (D-I)^-1 m +
+B (D-I)^-1 C'), and the B of equal monomials merge, so equal operators
+compare equal.
 
 A composition that would leave (D-I)^-1 immediately left of a non-constant
 cofactor stays an opaque sandwich; no illegal commuting is performed.
@@ -25,6 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .expr import (
+    LatticeMonomial,
     LatticePoly,
     delta_decompose,
     dir_derivative,
@@ -32,7 +36,7 @@ from .expr import (
     shift_correction,
     term_key,
 )
-from .params import ParamCoeff
+from .params import ParamCoeff, join_signed
 
 
 @dataclass(frozen=True)
@@ -45,8 +49,8 @@ class LocalOpTerm:
 
 @dataclass(frozen=True)
 class NonlocalOpTerm:
-    """left * (D-I)^-1 * right * D^power; in an OpEntry right is
-    scale-normalized and power is 0."""
+    """left * (D-I)^-1 * right * D^power; in an OpEntry right is a
+    monomial with coefficient 1 and power is 0."""
 
     left: LatticePoly
     right: LatticePoly
@@ -154,7 +158,8 @@ class OpEntry:
                 continue
             by_power[t.power] = by_power.get(t.power, LatticePoly.zero()) + t.cof
 
-        resolved_nl: dict[tuple, tuple[LatticePoly, LatticePoly]] = {}
+        # one term per monomial of the right cofactor, keyed by it
+        resolved_nl: dict[LatticeMonomial, LatticePoly] = {}
         for t in nonlocal_terms:
             if t.left.is_zero or t.right.is_zero:
                 continue
@@ -167,21 +172,8 @@ class OpEntry:
                         by_power.get(j, LatticePoly.zero())
                         + left * right.shifted(j) * sign
                     )
-            if len(right) == 1 and right.leading()[0].is_constant:
-                # constant right cofactor commutes through (D-I)^-1
-                left = left * right.leading()[1]
-                right = LatticePoly.const(1)
-            _, lead = right.leading()
-            if lead.is_rational:
-                k = lead.as_fraction()
-                if k not in (0, 1):
-                    right = right * (Fraction(1) / k)
-                    left = left * k
-            key = right.sort_key()
-            if key in resolved_nl:
-                resolved_nl[key] = (resolved_nl[key][0] + left, right)
-            else:
-                resolved_nl[key] = (left, right)
+            for m, c in right.items():
+                resolved_nl[m] = resolved_nl.get(m, LatticePoly.zero()) + left * c
 
         self.locals = tuple(
             LocalOpTerm(by_power[a], a)
@@ -189,9 +181,9 @@ class OpEntry:
             if not by_power[a].is_zero
         )
         self.nonlocals = tuple(
-            NonlocalOpTerm(left, right, 0)
-            for left, right in (resolved_nl[k] for k in sorted(resolved_nl))
-            if not left.is_zero
+            NonlocalOpTerm(resolved_nl[m], LatticePoly.from_monomial(m), 0)
+            for m in sorted(resolved_nl, key=term_key)
+            if not resolved_nl[m].is_zero
         )
 
     # -- constructors ---------------------------------------------------
@@ -443,13 +435,7 @@ def render_entry(entry: OpEntry, names: Sequence[str]) -> str:
                 sign = "-" if sign == "+" else "+"
             body += f"*{rfactor}" if rfactor else ""
         pieces.append((sign, body))
-    out = []
-    for k, (sign, body) in enumerate(pieces):
-        if k == 0:
-            out.append(body if sign == "+" else "-" + body)
-        else:
-            out.append(("+ " if sign == "+" else "- ") + body)
-    return " ".join(out)
+    return join_signed(pieces)
 
 
 def render_operator(op: DiffOperator, names: Sequence[str]) -> str:

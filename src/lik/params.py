@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 # A parameter monomial: ((name, exponent), ...) sorted by name, exponents > 0.
 PMono = tuple[tuple[str, int], ...]
@@ -310,9 +310,11 @@ class ParamCoeff:
     # -- rendering -------------------------------------------------------
 
     def render(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces: list[str] = []
+        return join_signed(self.signed_terms()) if self._terms else "0"
+
+    def signed_terms(self) -> list[tuple[str, str]]:
+        """(sign, magnitude) of each term in order, for join_signed."""
+        out = []
         for m, c in self.items():
             factors = [f"{n}^{e}" if e > 1 else n for n, e in m]
             mag = abs(c)
@@ -322,14 +324,24 @@ class ParamCoeff:
                 body = "*".join(factors)
             else:
                 body = "*".join([_render_fraction(mag)] + factors)
-            if not pieces:
-                pieces.append(body if c > 0 else "-" + body)
-            else:
-                pieces.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(pieces)
+            out.append(("+" if c > 0 else "-", body))
+        return out
 
     def __repr__(self) -> str:
         return f"ParamCoeff({self.render()})"
+
+
+def join_signed(terms: Iterable[tuple[str, str]]) -> str:
+    """'a - b + c' from (sign, body) pairs with sign '+' or '-': only a
+    negative first term carries its sign, later ones are joined by ' + '
+    or ' - '."""
+    parts: list[str] = []
+    for sign, body in terms:
+        if parts:
+            parts.append(f"{sign} {body}")
+        else:
+            parts.append(body if sign == "+" else "-" + body)
+    return " ".join(parts)
 
 
 def _render_fraction(f: Fraction) -> str:

@@ -40,8 +40,11 @@ from .params import ParamCoeff
 from .scaling import WeightVector, achievable_ranks, power_products, rank_of
 from .symmetry import (
     SymmetryResult,
+    build_symmetry_candidate,
     frechet_operator,
+    level_ranks,
     linearization_row,
+    solve_symmetry,
     symmetry_residual,
 )
 from .system import DdeSystem
@@ -57,28 +60,16 @@ def rank_matrix(ga: SymmetryResult, gb: SymmetryResult) -> RankMatrix:
 
 
 @dataclass(frozen=True)
-class LogDensity:
-    """The non-polynomial density log of one component; only its
-    linearization row (a Laurent reciprocal) is ever used."""
-
-    comp: int
-
-
-@dataclass(frozen=True)
 class OperatorCandidate:
     n: int
     unknowns: tuple[str, ...]
     basis: tuple[DiffOperator, ...]  # one single-term operator per unknown
 
-    def assemble(self, values: dict[str, ParamCoeff | Fraction]) -> DiffOperator:
+    def assemble(self, values: dict[str, Fraction]) -> DiffOperator:
         out = DiffOperator.zero(self.n)
         for tag, op in zip(self.unknowns, self.basis):
-            v = values.get(tag)
-            if v is None:
-                continue
-            v = v if isinstance(v, ParamCoeff) else ParamCoeff.from_value(v)
-            if not v.is_zero:
-                out = out + op.scale(v)
+            if values[tag]:
+                out = out + op.scale(values[tag])
         return out
 
 
@@ -89,20 +80,6 @@ def _rhs_variable_pool(sys: DdeSystem) -> list[VarRef]:
     return sorted(pool)
 
 
-def _entry_shift_sets(sys: DdeSystem) -> list[list[set[int]]]:
-    """Shift powers present in the linearization, identity included."""
-    n = sys.n
-    sets: list[list[set[int]]] = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            shifts = {x.shift for x in sys.rhs[i].var_refs() if x.comp == j}
-            shifts.add(0)
-            row.append(shifts)
-        sets.append(row)
-    return sets
-
-
 def build_r0(
     sys: DdeSystem, w: WeightVector, rm: RankMatrix
 ) -> OperatorCandidate:
@@ -110,7 +87,7 @@ def build_r0(
     rank-matching pool cofactor) combination."""
     n = sys.n
     pool = _rhs_variable_pool(sys)
-    shift_sets = _entry_shift_sets(sys)
+    fp = frechet_operator(sys.rhs)
     parts: list[tuple[int, int, LatticeMonomial, int]] = []
     for i in range(n):
         for j in range(n):
@@ -119,7 +96,9 @@ def build_r0(
                 for m in power_products(pool, w, rm[i][j])
                 if rank_of(m, w) == rm[i][j]
             ]
-            for a in sorted(shift_sets[i][j]):
+            # the shift powers of F'(u)[i][j], identity included
+            shifts = {0} | {t.power for t in fp.entries[i][j].locals}
+            for a in sorted(shifts):
                 for m in cofactors:
                     parts.append((i, j, m, a))
     tags = fresh_tags(len(parts), sys.params)
@@ -132,28 +111,19 @@ def build_r0(
     return OperatorCandidate(n, tags, tuple(basis))
 
 
-def detect_log_densities(sys: DdeSystem) -> list[LogDensity]:
-    """Components whose logarithm is conserved: rhs_i / x_i must be a
-    forward difference."""
-    out = []
+def log_density_rows(sys: DdeSystem) -> list[tuple[OpEntry, ...]]:
+    """Linearization rows of the conserved logarithms.  log x_i is
+    conserved when rhs_i / x_i is a forward difference; its row is the
+    Laurent reciprocal 1/x_i in column i."""
+    rows = []
     for i in range(sys.n):
-        canonical, _ = delta_decompose(sys.rhs[i] * LatticePoly.var(i, 0, -1))
+        reciprocal = LatticePoly.var(i, 0, -1)
+        canonical, _ = delta_decompose(sys.rhs[i] * reciprocal)
         if canonical.is_zero:
-            out.append(LogDensity(i))
-    return out
-
-
-def covariant(
-    rho: LatticePoly | LogDensity, n: int
-) -> tuple[OpEntry, ...]:
-    """Linearization row of a density: sum_k (d rho / d x_j[k]) D^k."""
-    if isinstance(rho, LogDensity):
-        row = [OpEntry.zero() for _ in range(n)]
-        row[rho.comp] = OpEntry.local(LatticePoly.var(rho.comp, 0, -1))
-        return tuple(row)
-    if isinstance(rho, LatticePoly):
-        return linearization_row(rho, n)
-    raise TypeError(f"unsupported density description: {rho!r}")
+            row = [OpEntry.zero()] * sys.n
+            row[i] = OpEntry.local(reciprocal)
+            rows.append(tuple(row))
+    return rows
 
 
 def _entry_cof_rank(entry: OpEntry, w: WeightVector) -> Fraction | None:
@@ -191,7 +161,7 @@ def default_covariants(
     """Covariant pool: detected logarithmic densities plus polynomial
     densities up to the rank admissible by the rank matrix."""
     n = sys.n
-    rows = [covariant(ld, n) for ld in detect_log_densities(sys)]
+    rows = log_density_rows(sys)
     bound = None
     for g in symmetries:
         for j in range(n):
@@ -205,7 +175,7 @@ def default_covariants(
             results, _ = solve_density(cand, sys, max_depth)
             for r in results:
                 if not r.eq_conditions:
-                    rows.append(covariant(r.density, n))
+                    rows.append(linearization_row(r.density, n))
     return rows
 
 
@@ -226,15 +196,13 @@ def build_r1(
         comps = _signed_components(g)
         grank = g.ranks
         for row in covariants:
-            ok = True
-            for i in range(n):
-                for j in range(n):
-                    crank = _entry_cof_rank(row[j], w)
-                    if comps[i].is_zero or crank is None:
-                        continue
-                    if grank[i] + crank != rm[i][j]:
-                        ok = False
-            if not ok:
+            cranks = [_entry_cof_rank(e, w) for e in row]
+            if any(
+                grank[i] + cranks[j] != rm[i][j]
+                for i in range(n)
+                for j in range(n)
+                if not comps[i].is_zero and cranks[j] is not None
+            ):
                 continue
             entries = [[OpEntry.zero() for _ in range(n)] for _ in range(n)]
             for i in range(n):
@@ -275,6 +243,24 @@ def identity_residual(
     return op.frechet(sys.rhs) + op.compose(fp) - fp.compose(op)
 
 
+def identity_vanishes(residual_op: DiffOperator, g: Sequence[LatticePoly]) -> bool:
+    """Whether the defining-identity operator (see identity_residual)
+    annihilates g."""
+    return all(x.is_zero for x in residual_op.apply(list(g)))
+
+
+def generation_step(
+    op: DiffOperator, g: Sequence[LatticePoly], sys: DdeSystem
+) -> tuple[list[LatticePoly] | None, bool]:
+    """R G: its components, None when an antidifference term survives, and
+    whether they satisfy the symmetry identity."""
+    nxt = op.apply(list(g))
+    if not all(x.is_local for x in nxt):
+        return None, False
+    polys = [x.local for x in nxt]
+    return polys, all(x.is_zero for x in symmetry_residual(polys, sys))
+
+
 @dataclass
 class RecursionOutcome:
     operator: DiffOperator | None
@@ -289,18 +275,35 @@ class RecursionOutcome:
         return self.operator is not None
 
 
-def _collect_rows(
-    applied: dict[str, list[ExtendedExpr]], n: int
-) -> list[dict[str, ParamCoeff]]:
-    """Rows of one constraint family from per-unknown application results.
+class _NoOperator(Exception):
+    """Raised with (failure family, message) where a failure is found."""
 
-    Each unknown's column has, per component, one local slot, then one slot
-    per formal antidifference argument group in sorted key order (the
-    group's cofactor).
+    def outcome(self, out: RecursionOutcome | None = None) -> RecursionOutcome:
+        """The failed outcome; out keeps what was computed before."""
+        out = out or RecursionOutcome(None)
+        out.operator = None
+        out.failure_family, out.message = self.args
+        return out
+
+
+def _constraint_rows(
+    cand: OperatorCandidate,
+    ops: Sequence[DiffOperator],
+    g: Sequence[LatticePoly],
+    fixed: dict[str, list[ExtendedExpr]] | None = None,
+) -> list[dict[str, ParamCoeff]]:
+    """Rows of one constraint family: a column per unknown, holding its
+    operator in ops applied to g, then the fixed columns.
+
+    Each column has, per component, one local slot, then one slot per
+    formal antidifference argument group in sorted key order (the group's
+    cofactor).
     """
+    applied = {tag: op.apply(list(g)) for tag, op in zip(cand.unknowns, ops)}
+    applied.update(fixed or {})
     columns: dict[str, list[LatticePoly]] = {tag: [] for tag in applied}
     zero = LatticePoly.zero()
-    for i in range(n):
+    for i in range(cand.n):
         keys = sorted(
             {
                 arg.sort_key()
@@ -324,12 +327,25 @@ def solve_recursion(
 ) -> RecursionOutcome:
     """Determine the candidate coefficients from consecutive symmetry
     pairs plus defining-identity probes, then verify the survivor."""
-    n = sys.n
+    try:
+        coeffs, operator, fp = _determine(sys, w, symmetries, gap, max_depth)
+    except _NoOperator as exc:
+        return exc.outcome()
+    return _verify(sys, operator, coeffs, symmetries, fp, gap)
+
+
+def _determine(
+    sys: DdeSystem,
+    w: WeightVector,
+    symmetries: Sequence[SymmetryResult],
+    gap: int,
+    max_depth: int,
+) -> tuple[dict[str, Fraction], DiffOperator, DiffOperator]:
+    """The coefficients, the operator they assemble and F'."""
     if len(symmetries) < gap + 1:
-        return RecursionOutcome(
-            None,
-            failure_family="symmetry-chain",
-            message=f"need at least {gap + 1} symmetries for gap {gap}, "
+        raise _NoOperator(
+            "symmetry-chain",
+            f"need at least {gap + 1} symmetries for gap {gap}, "
             f"got {len(symmetries)}",
         )
     pairs = [
@@ -337,104 +353,69 @@ def solve_recursion(
         for k in range(len(symmetries) - gap)
     ]
     rm = rank_matrix(*pairs[0])
-    for ga, gb in pairs[1:]:
-        if rank_matrix(ga, gb) != rm:
-            return RecursionOutcome(
-                None,
-                failure_family="symmetry-chain",
-                message="inconsistent rank gaps between supplied symmetries",
-            )
+    if any(rank_matrix(ga, gb) != rm for ga, gb in pairs[1:]):
+        raise _NoOperator(
+            "symmetry-chain", "inconsistent rank gaps between supplied symmetries"
+        )
 
     cand = build_candidate(sys, w, rm, symmetries, max_depth)
     if not cand.unknowns:
-        return RecursionOutcome(
-            None,
-            failure_family="candidate",
-            message="empty operator candidate at the required ranks",
+        raise _NoOperator(
+            "candidate", "empty operator candidate at the required ranks"
         )
 
     fp = frechet_operator(sys.rhs)
     commutator_parts = [identity_residual(op, sys, fp) for op in cand.basis]
 
-    probe_cache: dict[int, list[dict[str, ParamCoeff]]] = {}
-
-    def probe_rows(sym_index: int) -> list[dict[str, ParamCoeff]]:
-        if sym_index not in probe_cache:
-            g = list(symmetries[sym_index].components)
-            applied = {
-                tag: part.apply(g)
-                for tag, part in zip(cand.unknowns, commutator_parts)
-            }
-            probe_cache[sym_index] = _collect_rows(applied, n)
-        return probe_cache[sym_index]
-
-    pair_cache: dict[int, list[dict[str, ParamCoeff]]] = {}
-    mu_tags = [f"mu{k + 1}" for k in range(len(pairs))]
-
-    def pair_rows(k: int) -> list[dict[str, ParamCoeff]]:
-        if k not in pair_cache:
-            ga, gb = pairs[k]
-            applied = {
-                tag: op.apply(list(ga.components))
-                for tag, op in zip(cand.unknowns, cand.basis)
-            }
-            # R Ga - mu Gb = 0: the scale unknown mu enters with -Gb
-            applied[mu_tags[k]] = [ExtendedExpr(-c) for c in gb.components]
-            pair_cache[k] = _collect_rows(applied, n)
-        return pair_cache[k]
-
-    solution: dict[str, ParamCoeff] | None = None
-    last_dim = None
-    for npairs in range(1, len(pairs) + 1):
-        unknowns = cand.unknowns + tuple(mu_tags[:npairs])
-        rows: list[dict[str, ParamCoeff]] = []
-        for k in range(npairs):
-            rows.extend(pair_rows(k))
-        for s in range(min(npairs + gap, len(symmetries))):
-            rows.extend(probe_rows(s))
+    unknowns = cand.unknowns
+    rows: list[dict[str, ParamCoeff]] = []
+    probed = 0  # symmetries whose identity-probe rows are in rows
+    for k, (ga, gb) in enumerate(pairs):
+        # pair k adds R Ga - mu Gb = 0, the scale unknown mu entering with
+        # -Gb, and the probes on every symmetry up to Gb
+        mu = f"mu{k + 1}"
+        unknowns += (mu,)
+        minus_gb = [ExtendedExpr(-c) for c in gb.components]
+        rows.extend(_constraint_rows(cand, cand.basis, ga.components, {mu: minus_gb}))
+        for g in symmetries[probed : k + gap + 1]:
+            rows.extend(_constraint_rows(cand, commutator_parts, g.components))
+        probed = k + gap + 1
         try:
             outcome = nullspace(LinearSystem.build(unknowns, rows))
         except LinearSolveError:
-            return RecursionOutcome(
-                None,
-                failure_family="coefficient-determination",
-                message="parameterized coefficient system: pin the system "
+            raise _NoOperator(
+                "coefficient-determination",
+                "parameterized coefficient system: pin the system "
                 "parameters to rationals first",
-            )
-        last_dim = outcome.dimension
+            ) from None
         if outcome.dimension == 0:
-            return RecursionOutcome(
-                None,
-                failure_family="generation",
-                message="the generation and commutator constraints admit "
-                "only the zero operator",
+            raise _NoOperator(
+                "generation",
+                "the generation and commutator constraints admit only the "
+                "zero operator",
             )
         if outcome.dimension == 1:
-            vec = outcome.basis[0]
-            mu1 = vec.get(mu_tags[0])
-            if mu1 is None or mu1.as_fraction() == 0:
-                return RecursionOutcome(
-                    None,
-                    failure_family="generation",
-                    message="no operator maps the first symmetry to the "
-                    "second (scale coefficient vanishes)",
-                )
-            solution = normalize_basis_vector(vec, mu_tags[0], Fraction(1))
             break
-    if solution is None:
-        return RecursionOutcome(
-            None,
-            failure_family="coefficient-determination",
-            message=f"solution space still {last_dim}-dimensional after "
+    else:
+        raise _NoOperator(
+            "coefficient-determination",
+            f"solution space still {outcome.dimension}-dimensional after "
             "using every supplied symmetry pair",
         )
-
+    vec = outcome.basis[0]
+    mu1 = vec.get("mu1")
+    if mu1 is None or mu1.as_fraction() == 0:
+        raise _NoOperator(
+            "generation",
+            "no operator maps the first symmetry to the second (scale "
+            "coefficient vanishes)",
+        )
+    solution = normalize_basis_vector(vec, "mu1", Fraction(1))
     coeffs = {
         tag: solution.get(tag, ParamCoeff.zero()).as_fraction()
         for tag in cand.unknowns
     }
-    operator = cand.assemble(coeffs)
-    return _verify(sys, operator, coeffs, symmetries, fp, gap)
+    return coeffs, cand.assemble(coeffs), fp
 
 
 def _verify(
@@ -445,57 +426,51 @@ def _verify(
     fp: DiffOperator,
     gap: int,
 ) -> RecursionOutcome:
-    checks: list[str] = []
-    out = RecursionOutcome(operator, coeffs, checks=checks)
+    """Probe the identity on every supplied symmetry, then generate from
+    the first one: R G(1) must be G(1 + gap), and two levels beyond the
+    supplied chain must come out local symmetries."""
+    out = RecursionOutcome(operator, coeffs)
     residual_op = identity_residual(operator, sys, fp)
-    for k, g in enumerate(symmetries, start=1):
-        res = residual_op.apply(list(g.components))
-        if not all(x.is_zero for x in res):
-            out.operator = None
-            out.failure_family = "verification:commutator-probe"
-            out.message = (
-                f"defining-identity residual applied to symmetry {k} is nonzero"
-            )
-            return out
-        checks.append(f"commutator residual on G({k}): zero")
-
-    current = list(symmetries[0].components)
-    total = len(symmetries) + 2 * gap
-    level = 1
-    first_regen = None
-    while level + gap <= total:
-        nxt = operator.apply(current)
-        level += gap
-        if not all(x.is_local for x in nxt):
-            out.operator = None
-            out.failure_family = "verification:nonlocal-obstruction"
-            out.message = (
-                f"generated level {level} retains an unresolved "
-                "antidifference term"
-            )
-            return out
-        polys = [x.local for x in nxt]
-        res = symmetry_residual(polys, sys)
-        if not all(x.is_zero for x in res):
-            out.operator = None
-            out.failure_family = "verification:symmetry-identity"
-            out.message = f"generated level {level} fails the symmetry identity"
-            return out
-        if first_regen is None:
-            first_regen = polys
-            if gap < len(symmetries) and tuple(polys) != symmetries[gap].components:
-                out.operator = None
-                out.failure_family = "verification:generation"
-                out.message = (
-                    "operator applied to the first symmetry does not "
-                    "reproduce the next supplied symmetry"
+    try:
+        for k, g in enumerate(symmetries, start=1):
+            if not identity_vanishes(residual_op, g.components):
+                raise _NoOperator(
+                    "verification:commutator-probe",
+                    f"defining-identity residual applied to symmetry {k} is "
+                    "nonzero",
                 )
-                return out
-            checks.append(f"R G(1) = G({1 + gap}) exactly")
-        else:
-            checks.append(f"generated G({level}): local, symmetry identity holds")
-        out.generated.append((level, tuple(polys)))
-        current = polys
+            out.checks.append(f"commutator residual on G({k}): zero")
+
+        current = symmetries[0].components
+        for level in range(1 + gap, len(symmetries) + 2 * gap + 1, gap):
+            polys, holds = generation_step(operator, current, sys)
+            if polys is None:
+                raise _NoOperator(
+                    "verification:nonlocal-obstruction",
+                    f"generated level {level} retains an unresolved "
+                    "antidifference term",
+                )
+            if not holds:
+                raise _NoOperator(
+                    "verification:symmetry-identity",
+                    f"generated level {level} fails the symmetry identity",
+                )
+            if out.generated:
+                out.checks.append(
+                    f"generated G({level}): local, symmetry identity holds"
+                )
+            elif tuple(polys) != symmetries[gap].components:
+                raise _NoOperator(
+                    "verification:generation",
+                    "operator applied to the first symmetry does not "
+                    "reproduce the next supplied symmetry",
+                )
+            else:
+                out.checks.append(f"R G(1) = G({1 + gap}) exactly")
+            out.generated.append((level, tuple(polys)))
+            current = polys
+    except _NoOperator as exc:
+        return exc.outcome(out)
     return out
 
 
@@ -505,53 +480,40 @@ def recursion_pipeline(
     levels: int = 3,
     gap: int = 1,
     max_depth: int = 6,
-) -> tuple[RecursionOutcome, list]:
+) -> tuple[RecursionOutcome, list[SymmetryResult]]:
     """Compute the symmetry chain, then solve for the operator.
 
-    Returns the outcome plus the per-level symmetry information for
-    reporting.
+    Returns the outcome plus the unconditional symmetries found, level by
+    level, for reporting.
     """
-    from .symmetry import build_symmetry_candidate, level_ranks, solve_symmetry
-
     levels = max(levels, gap + 1)
-    chain: list[SymmetryResult] = []
-    level_info = []
-    for level in range(1, levels + 1):
-        ranks = level_ranks(sys, w, level, 1)
-        cand = build_symmetry_candidate(sys, w, ranks)
-        if cand is None:
-            return (
-                RecursionOutcome(
-                    None,
-                    failure_family="symmetry-chain",
-                    message=f"no symmetry candidate at rank vector "
+    found: list[SymmetryResult] = []
+    try:
+        for level in range(1, levels + 1):
+            ranks = level_ranks(sys, w, level, 1)
+            cand = build_symmetry_candidate(sys, w, ranks)
+            if cand is None:
+                raise _NoOperator(
+                    "symmetry-chain",
+                    f"no symmetry candidate at rank vector "
                     f"{tuple(str(r) for r in ranks)}",
-                ),
-                level_info,
-            )
-        results, branches = solve_symmetry(cand, sys, w, max_depth=max_depth)
-        unconditional = [r for r in results if not r.eq_conditions]
-        level_info.append((level, ranks, results, branches))
-        if not unconditional:
-            return (
-                RecursionOutcome(
-                    None,
-                    failure_family="symmetry-chain",
-                    message="no unconditional symmetry at rank vector "
+                )
+            results, _ = solve_symmetry(cand, sys, w, max_depth=max_depth)
+            unconditional = [r for r in results if not r.eq_conditions]
+            found.extend(unconditional)
+            if not unconditional:
+                raise _NoOperator(
+                    "symmetry-chain",
+                    "no unconditional symmetry at rank vector "
                     f"({', '.join(str(r) for r in ranks)})",
-                ),
-                level_info,
-            )
-        if len(unconditional) > 1:
-            return (
-                RecursionOutcome(
-                    None,
-                    failure_family="symmetry-chain",
-                    message=f"ambiguous symmetry at level {level}: "
+                )
+            if len(unconditional) > 1:
+                raise _NoOperator(
+                    "symmetry-chain",
+                    f"ambiguous symmetry at level {level}: "
                     f"{len(unconditional)} independent solutions",
-                ),
-                level_info,
-            )
-        chain.append(unconditional[0])
-    outcome = solve_recursion(sys, w, chain, gap=gap, max_depth=max_depth)
-    return outcome, level_info
+                )
+    except _NoOperator as exc:
+        return exc.outcome(), found
+    outcome = solve_recursion(sys, w, found, gap=gap, max_depth=max_depth)
+    return outcome, found

@@ -71,7 +71,6 @@ class SymmetryResult:
     ranks: tuple[Fraction, ...]
     components: tuple[LatticePoly, ...]
     eq_conditions: tuple[ParamCoeff, ...] = ()
-    neq_conditions: tuple[ParamCoeff, ...] = ()
 
 
 def build_symmetry_candidate(
@@ -140,11 +139,7 @@ def solve_symmetry(
                 continue
             if not _rank_uniform(comps, cand.ranks, w):
                 continue
-            results.append(
-                SymmetryResult(
-                    cand.ranks, comps, br.eq_conditions, br.neq_conditions
-                )
-            )
+            results.append(SymmetryResult(cand.ranks, comps, br.eq_conditions))
     return results, branches
 
 

@@ -9,7 +9,8 @@ import pytest
 from conftest import BROKEN_TODA, PARAM_TODA, TODA
 from lik.cli import main
 
-GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 try:
     from importlib.resources import files
@@ -153,6 +154,28 @@ class TestRecursion:
         code, out, _ = run(capsys, "recursion", broken_file)
         assert code == 2
         assert "no operator (symmetry-chain)" in out
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            "systems/toda.dde",
+            "systems/volterra.dde",
+            "perfbench/systems/modified_volterra.dde",
+            "tests/golden/scaled_volterra.dde",
+        ],
+    )
+    def test_operator_is_a_valid_certificate(self, capsys, tmp_path, system):
+        # what lik recursion emits, lik verify --operator accepts
+        system = str(ROOT / system)
+        code, out, _ = run(capsys, "recursion", "--json", system)
+        assert code == 0
+        entries = json.loads(out)["recursion_operator"]["entries"]
+        f = tmp_path / "operator.txt"
+        f.write_text("\n".join(entries) + "\n")
+        code, out, _ = run(capsys, "verify", "--operator", str(f), "--json", system)
+        assert code == 0
+        verdicts = [v["verdict"] for v in json.loads(out)["verification"]]
+        assert verdicts == ["pass"] * 6
 
 
 class TestVerify:

@@ -240,3 +240,12 @@ class TestRendering:
     @given(polys(max_vars=3))
     def test_round_trip(self, p):
         assert P(render_poly(p, UV)) == p
+
+    @CACHED
+    @given(p=polys(max_vars=3), kp=PARAM_COEFFS, q=polys(max_vars=3), kq=PARAM_COEFFS)
+    def test_parametric_round_trip(self, p, kp, q, kq):
+        # parametric coefficients nested in rendered polynomials, next to
+        # rational ones when a factor is "1"
+        ab = ("a", "b")
+        r = p * P(kp, params=ab) + q * P(kq, params=ab)
+        assert P(render_poly(r, UV), params=ab) == r

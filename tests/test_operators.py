@@ -54,6 +54,11 @@ class TestNormalForm:
         assert lhs == a.compose(b.compose(c))
         assert lhs == E("-u[-3]*D^-3 - u[-2]*D^-2 - u[-1]*D^-1 + S*u[0]")
 
+    def test_right_cofactor_splits_into_monomials(self):
+        # (D-I)^-1 is linear, so a sum on its right is a sum of sandwiches
+        assert E("S*(u[0] + 1)") == E("S*u[0] + S")
+        assert E("v[0]*S*(2*u[0] - u[1])") == E("2*v[0]*S*u[0] - v[0]*S*u[1]")
+
     def test_nonlocal_times_nonlocal_rejected(self):
         with pytest.raises(ValueError):
             E("u[0]*S*v[0]").compose(E("S"))
@@ -175,6 +180,7 @@ class TestCompositionSoundness:
     @settings(max_examples=100)
     @given(a=entries(), b=entries(), c=entries())
     @example(a=E("-D^-1 + S"), b=E("D^-2"), c=E("u[0]*I"))
+    @example(a=E("S"), b=E("I + D"), c=E("u[0]*I + D"))
     def test_compose_associative(self, a, b, c):
         try:
             lhs = a.compose(b).compose(c)

@@ -7,12 +7,10 @@ from lik.expr import render_poly
 from lik.operators import render_operator
 from lik.parser import parse_operator_matrix
 from lik.recursion import (
-    LogDensity,
     build_r0,
     build_r1,
-    covariant,
     default_covariants,
-    detect_log_densities,
+    log_density_rows,
     rank_matrix,
     recursion_pipeline,
     solve_recursion,
@@ -21,6 +19,7 @@ from lik.scaling import rank_of
 from lik.symmetry import (
     SymmetryResult,
     build_symmetry_candidate,
+    linearization_row,
     solve_symmetry,
     symmetry_residual,
 )
@@ -110,27 +109,25 @@ class TestLocalCandidate:
 
 class TestCovariants:
     def test_log_density_detected(self, toda):
-        assert detect_log_densities(toda) == [LogDensity(1)]
+        # log v is conserved, log u is not
+        (row,) = log_density_rows(toda)
+        assert row[0].is_zero and not row[1].is_zero
 
     def test_log_covariant_row(self, toda):
-        row = covariant(LogDensity(1), 2)
+        (row,) = log_density_rows(toda)
         assert row[0].is_zero
         ((t,),) = [row[1].locals]
         assert t.power == 0 and t.cof == P("1/v[0]")
 
     def test_linear_density_row(self):
-        row = covariant(P("u[0]"), 2)
+        row = linearization_row(P("u[0]"), 2)
         assert render_poly(row[0].locals[0].cof, ("u", "v")) == "1"
         assert row[1].is_zero
 
     def test_quadratic_density_row(self):
-        row = covariant(P("(1/2)*u[0]^2 + v[0]"), 2)
+        row = linearization_row(P("(1/2)*u[0]^2 + v[0]"), 2)
         assert row[0].locals[0].cof == P("u[0]")
         assert row[1].locals[0].cof == P("1")
-
-    def test_unsupported_rejected(self):
-        with pytest.raises(TypeError):
-            covariant("log", 2)  # type: ignore[arg-type]
 
     def test_default_pool_for_toda(self, toda, toda_w, toda_chain):
         rm = rank_matrix(toda_chain[0], toda_chain[1])
@@ -158,7 +155,7 @@ class TestNonlocalCandidate:
     def test_higher_density_pair_excluded_by_rank(self, toda, toda_w, toda_chain):
         rm = rank_matrix(toda_chain[0], toda_chain[1])
         rows = default_covariants(toda, toda_w, toda_chain, rm)
-        rows = rows + [covariant(P("u[0]"), 2)]  # rank-one density's row
+        rows = rows + [linearization_row(P("u[0]"), 2)]  # rank-one density's row
         cand = build_r1(toda, toda_w, rm, toda_chain, rows, existing=16)
         # entry (1,1) would need rank 2 + 0 > 1, so the extra pair drops out
         assert cand.unknowns == ("c17",)
@@ -204,9 +201,9 @@ class TestSolve:
 
 class TestPipeline:
     def test_toda(self, toda, toda_w):
-        outcome, info = recursion_pipeline(toda, toda_w, levels=3)
+        outcome, symmetries = recursion_pipeline(toda, toda_w, levels=3)
         assert outcome.ok
-        assert [level for level, *_ in info] == [1, 2, 3]
+        assert [g.ranks for g in symmetries] == [(2, 3), (3, 4), (4, 5)]
 
     def test_broken_system_fails_honestly(self, broken_toda):
         from lik.scaling import compute_weights
