@@ -123,12 +123,13 @@ class Report:
         }
 
     def add_density(self, r):
+        flux = render_poly(r.flux, self.names)  # schema v1 repeats it
         self.doc["densities"].append(
             {
                 "rank": str(r.rank),
                 "rho": render_poly(r.density, self.names),
-                "flux": render_poly(r.flux, self.names),
-                "flux_decomposition": render_poly(r.flux_decomposition, self.names),
+                "flux": flux,
+                "flux_decomposition": flux,
                 "normalization": r.normalization,
                 "conditions": [
                     _render_condition(c, "=") for c in r.eq_conditions

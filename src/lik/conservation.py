@@ -17,8 +17,8 @@ corrections with the opposite sign convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .expr import (
     LatticeMonomial,
@@ -38,19 +38,16 @@ from .scaling import WeightVector, building_blocks
 from .system import DdeSystem
 
 
-@dataclass(frozen=True)
-class DensityCandidate:
+class DensityCandidate(NamedTuple):
     rank: Fraction
     blocks: tuple[LatticeMonomial, ...]
     unknowns: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class DensityResult:
+class DensityResult(NamedTuple):
     rank: Fraction
     density: LatticePoly
     flux: LatticePoly
-    flux_decomposition: LatticePoly
     normalization: str
     eq_conditions: tuple[ParamCoeff, ...] = ()
 
@@ -131,7 +128,6 @@ def solve_density(
                     rank=cand.rank,
                     density=rho,
                     flux=flux,
-                    flux_decomposition=flux,
                     normalization=note,
                     eq_conditions=br.eq_conditions,
                 )

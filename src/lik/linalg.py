@@ -34,10 +34,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .expr import LatticeMonomial, LatticePoly, term_key
 from .params import ParamCoeff
@@ -50,8 +49,7 @@ class LinearSolveError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(NamedTuple):
     """Homogeneous system: ordered unknown tags and dense rows, one
     coefficient per unknown."""
 
@@ -87,8 +85,7 @@ class LinearSystem:
         return cls.build(unknowns, column_rows(unknowns, columns))
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+class SolveOutcome(NamedTuple):
     """Nullspace basis: one sparse assignment per basis vector."""
 
     basis: tuple[dict[str, ParamCoeff], ...]
@@ -98,8 +95,7 @@ class SolveOutcome:
         return len(self.basis)
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     """One case of a parametric solve.
 
     eq_conditions are irreducible polynomials assumed zero, neq_conditions

@@ -23,7 +23,6 @@ formal antidifference term otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -39,22 +38,35 @@ from .expr import (
 from .params import ParamCoeff, join_signed
 
 
-@dataclass(frozen=True)
 class LocalOpTerm:
     """cof * D^power."""
 
-    cof: LatticePoly
-    power: int
+    __slots__ = ("cof", "power")
+
+    def __init__(self, cof: LatticePoly, power: int):
+        self.cof, self.power = cof, power
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LocalOpTerm):
+            return NotImplemented
+        return (self.cof, self.power) == (other.cof, other.power)
 
 
-@dataclass(frozen=True)
 class NonlocalOpTerm:
     """left * (D-I)^-1 * right * D^power; in an OpEntry right is a
     monomial with coefficient 1 and power is 0."""
 
-    left: LatticePoly
-    right: LatticePoly
-    power: int
+    __slots__ = ("left", "right", "power")
+
+    def __init__(self, left: LatticePoly, right: LatticePoly, power: int):
+        self.left, self.right, self.power = left, right, power
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, NonlocalOpTerm):
+            return NotImplemented
+        return (self.left, self.right, self.power) == (
+            other.left, other.right, other.power
+        )
 
 
 class ExtendedExpr:

@@ -22,9 +22,8 @@ composed left to right with *.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .expr import LatticePoly
 from .operators import DiffOperator, OpEntry
@@ -48,8 +47,7 @@ class ParseError(ValueError):
         self.message = message
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "int" | "name" | literal op | "end"
     text: str
     line: int

@@ -21,9 +21,8 @@ antidifference terms and satisfy the symmetry identity exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .conservation import build_density_candidate, solve_density
 from .expr import LatticeMonomial, LatticePoly, VarRef, delta_decompose
@@ -59,8 +58,7 @@ def rank_matrix(ga: SymmetryResult, gb: SymmetryResult) -> RankMatrix:
     )
 
 
-@dataclass(frozen=True)
-class OperatorCandidate:
+class OperatorCandidate(NamedTuple):
     n: int
     unknowns: tuple[str, ...]
     basis: tuple[DiffOperator, ...]  # one single-term operator per unknown
@@ -261,14 +259,28 @@ def generation_step(
     return polys, all(x.is_zero for x in symmetry_residual(polys, sys))
 
 
-@dataclass
 class RecursionOutcome:
-    operator: DiffOperator | None
-    coefficients: dict[str, Fraction] = field(default_factory=dict)
-    generated: list[tuple[int, tuple[LatticePoly, ...]]] = field(default_factory=list)
-    checks: list[str] = field(default_factory=list)
-    failure_family: str | None = None
-    message: str = ""
+    """What recursion_pipeline found; filled in as the pipeline goes."""
+
+    __slots__ = (
+        "operator", "coefficients", "generated", "checks", "failure_family", "message"
+    )
+
+    def __init__(
+        self,
+        operator: DiffOperator | None,
+        coefficients: dict[str, Fraction] | None = None,
+        generated: list[tuple[int, tuple[LatticePoly, ...]]] | None = None,
+        checks: list[str] | None = None,
+        failure_family: str | None = None,
+        message: str = "",
+    ):
+        self.operator = operator
+        self.coefficients = {} if coefficients is None else coefficients
+        self.generated = [] if generated is None else generated
+        self.checks = [] if checks is None else checks
+        self.failure_family = failure_family
+        self.message = message
 
     @property
     def ok(self) -> bool:

@@ -9,9 +9,8 @@ candidates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .expr import (
     LatticeMonomial,
@@ -30,11 +29,13 @@ class ScalingError(ValueError):
     """System is not dilation invariant (no positive rational weights)."""
 
 
-@dataclass(frozen=True)
 class WeightVector:
     """One rational weight per component; the time derivative has weight 1."""
 
-    weights: tuple[Fraction, ...]
+    __slots__ = ("weights",)
+
+    def __init__(self, weights: tuple[Fraction, ...]):
+        self.weights = weights
 
     def __getitem__(self, i: int) -> Fraction:
         return self.weights[i]
@@ -43,8 +44,7 @@ class WeightVector:
         return len(self.weights)
 
 
-@dataclass(frozen=True)
-class WeightFamily:
+class WeightFamily(NamedTuple):
     """Underdetermined outcome: an affine family particular + span(directions).
 
     free_components lists indices whose weight is not pinned by the balance

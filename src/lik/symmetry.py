@@ -10,9 +10,8 @@ are independent directions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .expr import (
     LatticeMonomial,
@@ -59,15 +58,13 @@ def frechet_operator(f: Sequence[LatticePoly]) -> DiffOperator:
     return DiffOperator([linearization_row(fi, len(f)) for fi in f])
 
 
-@dataclass(frozen=True)
-class SymmetryCandidate:
+class SymmetryCandidate(NamedTuple):
     ranks: tuple[Fraction, ...]
     blocks: tuple[tuple[LatticeMonomial, ...], ...]  # per component
     unknowns: tuple[str, ...]  # flat, numbered across components
 
 
-@dataclass(frozen=True)
-class SymmetryResult:
+class SymmetryResult(NamedTuple):
     ranks: tuple[Fraction, ...]
     components: tuple[LatticePoly, ...]
     eq_conditions: tuple[ParamCoeff, ...] = ()

@@ -8,7 +8,7 @@ from lik.params import ParamCoeff
 from lik.parser import parse_expression, parse_system
 from lik.scaling import compute_weights
 
-settings.register_profile("lik", deadline=None)
+settings.register_profile("lik", deadline=None, derandomize=True, database=None)
 settings.load_profile("lik")
 
 TODA = """\

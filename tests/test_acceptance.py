@@ -80,7 +80,7 @@ def test_criterion_2_densities(toda, toda_w):
         assert r.density == P(GOLDEN_DENSITIES[rank])
         assert conservation_residual(r.density, r.flux, toda).is_zero
         if rank == 3:
-            assert r.flux_decomposition == P("u[-1]*u[0]*v[-1] + v[-1]^2")
+            assert r.flux == P("u[-1]*u[0]*v[-1] + v[-1]^2")
     _passed(2, "densities ranks 1-4")
 
 

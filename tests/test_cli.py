@@ -437,6 +437,23 @@ class TestDeterminism:
         assert proc.returncode == 0
         assert "w(u) = 1" in proc.stdout
 
+    def test_import_loads_no_dataclass_machinery(self):
+        # -S: no site hooks, so only lik's own imports count
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import lik.cli; "
+            "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code, str(ROOT / "src")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.split()
+        assert "dataclasses" not in loaded
+        if sys.version_info[:2] == (3, 11):
+            assert "inspect" not in loaded
+
 
 class TestBranchDepth:
     def test_env_var_read(self, capsys, param_file, monkeypatch):

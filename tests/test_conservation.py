@@ -56,8 +56,7 @@ class TestSolve:
 
     def test_rank3_flux(self, toda_densities):
         (r,) = toda_densities[3]
-        assert r.flux_decomposition == P("u[-1]*u[0]*v[-1] + v[-1]^2")
-        assert r.flux == r.flux_decomposition
+        assert r.flux == P("u[-1]*u[0]*v[-1] + v[-1]^2")
 
     def test_rank1_flux_telescopes(self, toda, toda_densities):
         (r,) = toda_densities[1]

@@ -1,7 +1,7 @@
+from fractions import Fraction
+
 from hypothesis import given, settings
 import hypothesis.strategies as st
-
-import dataclasses
 
 from conftest import M, P, PARAM_TODA, TODA, UV, VOLTERRA, monomials, polys
 from lik.expr import (
@@ -16,6 +16,7 @@ from lik.expr import (
 )
 from lik.params import ParamCoeff
 from lik.parser import parse_expression, parse_system
+from lik.system import DdeSystem
 
 
 class TestShift:
@@ -109,7 +110,9 @@ class TestCachedTimeDerivative:
     def test_systems_with_equal_names_share_no_entry(self):
         volterra = parse_system(VOLTERRA)
         modified = parse_system("u' = u[0]^2*(u[1] - u[-1])\n")
-        replaced = dataclasses.replace(volterra, rhs=modified.rhs)
+        replaced = DdeSystem(
+            volterra.names, modified.rhs, volterra.params, volterra.weight_pins
+        )
         p = P("u[0]*u[1] + u[-2]")
         first = total_time_derivative(p, volterra)
         assert first == dir_derivative(p, volterra.rhs)
@@ -126,6 +129,13 @@ class TestCachedTimeDerivative:
         assert warm == cold
         assert (hash(warm), repr(warm)) == before == (hash(cold), repr(cold))
         assert warm != parse_system(PARAM_TODA)
+
+    def test_weight_pins_leave_equality_and_hash_alone(self):
+        plain = parse_system(TODA)
+        pinned = DdeSystem(plain.names, plain.rhs, plain.params, {0: Fraction(3)})
+        assert plain == pinned and hash(plain) == hash(pinned)
+        assert "weight_pins={0: Fraction(3, 1)}" in repr(pinned)
+        assert "dt_cache" not in repr(pinned)
 
 
 class TestCanonicalRep:

@@ -7,6 +7,7 @@ from lik.expr import render_poly
 from lik.operators import render_operator
 from lik.parser import parse_operator_matrix
 from lik.recursion import (
+    RecursionOutcome,
     build_r0,
     build_r1,
     default_covariants,
@@ -200,6 +201,14 @@ class TestSolve:
 
 
 class TestPipeline:
+    def test_outcomes_share_no_list(self):
+        a, b = RecursionOutcome(None), RecursionOutcome(None)
+        a.checks.append("x")
+        a.generated.append((1, ()))
+        a.coefficients["c1"] = Fraction(1)
+        assert (b.checks, b.generated, b.coefficients) == ([], [], {})
+        assert (b.failure_family, b.message) == (None, "")
+
     def test_toda(self, toda, toda_w):
         outcome, symmetries = recursion_pipeline(toda, toda_w, levels=3)
         assert outcome.ok

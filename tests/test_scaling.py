@@ -196,6 +196,9 @@ class TestMonomialsUptoRank:
                 )
         assert got == brute
 
+    def test_weight_vector_iterates_its_weights(self, toda_w):
+        assert list(toda_w) == list(toda_w.weights) == [Fraction(1), Fraction(2)]
+
     def test_zero_weight_rejected(self):
         w = WeightVector((Fraction(0), Fraction(1)))
         with pytest.raises(ValueError):
