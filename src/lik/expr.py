@@ -158,8 +158,13 @@ class LatticePoly:
     def items(self) -> list[tuple[LatticeMonomial, ParamCoeff]]:
         return sorted(self._terms.items(), key=lambda t: term_key(t[0]))
 
+    def terms(self) -> Iterable[tuple[LatticeMonomial, ParamCoeff]]:
+        """The (monomial, coefficient) pairs in no fixed order."""
+        return self._terms.items()
+
     def monomials(self) -> list[LatticeMonomial]:
-        return [m for m, _ in self.items()]
+        """The support in no fixed order; items() is the sorted view."""
+        return list(self._terms)
 
     def coeff(self, m: LatticeMonomial) -> ParamCoeff:
         return self._terms.get(m, ParamCoeff.zero())

@@ -11,10 +11,13 @@ as a single unconditional branch.
 
 Every matrix whose entries are all rational -- a parameter-free system,
 or a branch whose parameters have been substituted away -- is solved by
-one sparse Gauss-Jordan kernel over Fraction rows, which returns the
-nullspace basis read off the reduced row echelon form.  The pivot row of
-each column is the sparsest candidate; since the RREF is unique for a
-fixed column order, that choice changes only the speed.
+one sparse Gauss-Jordan kernel on primitive integer rows, which returns
+the nullspace basis read off the reduced row echelon form (RREF).  A row
+is reduced by cross multiplication with the pivot row, then divided by
+the gcd of its entries (integer-preserving, like Bareiss's elimination),
+so the only division is the read-off.  The pivot row of each column is
+the sparsest candidate; since the RREF is unique for a fixed column
+order, that choice and the integer arithmetic change only the speed.
 
 A matrix with a parameter entry is normalized once where it enters
 elimination: each row is divided by its rational content and common
@@ -68,10 +71,10 @@ class LinearSystem(NamedTuple):
         zero = ParamCoeff.zero()
         dense: list[tuple[ParamCoeff, ...]] = []
         for row in sparse_rows:
-            vec = [zero] * len(unknowns)
-            for t, c in row.items():
-                vec[index[t]] = c
-            if not all(c.is_zero for c in vec):
+            if any(not c.is_zero for c in row.values()):
+                vec = [zero] * len(unknowns)
+                for t, c in row.items():
+                    vec[index[t]] = c
                 dense.append(tuple(vec))
         return cls(tuple(unknowns), tuple(dense))
 
@@ -119,13 +122,13 @@ def column_rows(
     that unknown k contributes to slot s of the defining identity.
 
     Every monomial of a slot gives one row; slots are taken in order,
-    monomials within a slot in term_key order.
+    monomials within a slot in term_key order, sorted once per slot.
     """
     sparse: list[dict[str, ParamCoeff]] = []
     for slot in zip(*columns, strict=True):
         rows: dict[LatticeMonomial, dict[str, ParamCoeff]] = {}
         for tag, p in zip(unknowns, slot):
-            for m, c in p.items():
+            for m, c in p.terms():
                 rows.setdefault(m, {})[tag] = c
         sparse.extend(rows[m] for m in sorted(rows, key=term_key))
     return sparse
@@ -219,66 +222,70 @@ def _factors_of_normalized(pc: ParamCoeff) -> tuple[ParamCoeff, ...]:
 
 def _rational_nullspace(unknowns: Sequence[str], matrix: Iterable[Row]) -> SolveOutcome:
     """Nullspace basis of an all-rational matrix by sparse Gauss-Jordan
-    elimination on {column: Fraction} rows, columns in unknown order.
+    elimination on primitive integer rows, columns in unknown order.
 
     One basis vector per free column fc of the RREF R: fc = 1 and -R[p][fc]
-    on each pivot column p, zeros omitted.  Duplicate and scaled rows do
-    not change R, so rows need no normalization.
+    on each pivot column p, zeros omitted; a pivot row keeps its integer
+    entry at p, the one divisor.  Duplicate and scaled rows do not change R.
     """
     # forward pass: rows bucketed by leading column, eliminated column by
     # column with the sparsest row of the bucket as pivot
-    by_lead: dict[int, list[dict[int, Fraction]]] = {}
+    by_lead: dict[int, list[dict[int, int]]] = {}
     for row in matrix:
         if row:
-            by_lead.setdefault(min(row), []).append(
-                {j: c.as_fraction() for j, c in row.items()}
-            )
-    pivots: dict[int, dict[int, Fraction]] = {}  # column -> row, entry 1
+            vals = {j: c.value() for j, c in row.items()}
+            den = lcm(*(v.denominator for v in vals.values()))
+            if den != 1:
+                vals = {j: v.numerator * den // v.denominator for j, v in vals.items()}
+            by_lead.setdefault(min(row), []).append(_primitive(vals))
+    pivots: dict[int, dict[int, int]] = {}  # column -> row
     for col in range(len(unknowns)):
         bucket = by_lead.pop(col, None)
         if not bucket:
             continue
         k = min(range(len(bucket)), key=lambda i: len(bucket[i]))
-        inv = 1 / bucket[k][col]
-        piv = {j: a * inv for j, a in bucket[k].items()}
-        pivots[col] = piv
+        piv = pivots[col] = bucket[k]
         for i, row in enumerate(bucket):
             if i != k:
-                row = _subtract_multiple(row, row[col], piv)
+                row = _eliminated(row, col, piv)
                 if row:
                     by_lead.setdefault(min(row), []).append(row)
     # backward pass: clear every pivot column above its pivot, last first
     for col in sorted(pivots, reverse=True):
         row = pivots[col]
         for q in [q for q in row if q != col and q in pivots]:
-            row = _subtract_multiple(row, row[q], pivots[q])
+            row = _eliminated(row, q, pivots[q])
         pivots[col] = row
-    by_free: dict[int, list[tuple[int, Fraction]]] = {}
-    for col, row in pivots.items():
-        for j, a in row.items():
-            if j != col:
-                by_free.setdefault(j, []).append((col, -a))
     basis = []
-    for fc in range(len(unknowns)):
-        if fc in pivots:
-            continue
-        entries = sorted([(fc, Fraction(1))] + by_free.get(fc, []))
-        basis.append({unknowns[j]: ParamCoeff.from_value(v) for j, v in entries})
+    for fc in (j for j in range(len(unknowns)) if j not in pivots):
+        vec = {p: Fraction(-r[fc], r[p]) for p, r in pivots.items() if fc in r}
+        vec[fc] = 1
+        basis.append(
+            {unknowns[j]: ParamCoeff.from_value(vec[j]) for j in sorted(vec)}
+        )
     return SolveOutcome(tuple(basis))
 
 
-def _subtract_multiple(
-    row: dict[int, Fraction], f: Fraction, piv: dict[int, Fraction]
-) -> dict[int, Fraction]:
-    """row - f*piv with zero entries dropped."""
-    out = dict(row)
-    for j, a in piv.items():
-        v = out.get(j, 0) - f * a
-        if v:
-            out[j] = v
+def _eliminated(row: dict[int, int], col: int, piv: dict[int, int]) -> dict[int, int]:
+    """(p/g)*row - (r/g)*piv with p = piv[col], r = row[col], g = gcd(p, r):
+    zero at col and at every other cancelled entry, then made primitive."""
+    p, r = piv[col], row[col]
+    g = gcd(p, r)
+    a, b = p // g, r // g
+    out = {j: a * v for j, v in row.items()} if a != 1 else dict(row)
+    for j, v in piv.items():
+        w = out.get(j, 0) - b * v
+        if w:
+            out[j] = w
         else:
             del out[j]
-    return out
+    return _primitive(out)
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """The row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return row if g <= 1 else {j: v // g for j, v in row.items()}
 
 
 # -- the branching solver -------------------------------------------------------

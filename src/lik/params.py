@@ -126,11 +126,13 @@ class ParamCoeff:
         return not t or (len(t) == 1 and _ONE_PM in t)
 
     def as_fraction(self) -> Fraction:
-        if not self._terms:
-            return Fraction(0)
+        return Fraction(self.value())
+
+    def value(self) -> Union[int, Fraction]:
+        """A rational constant as stored, the inverse of from_value."""
         if not self.is_rational:
             raise ValueError(f"not a rational constant: {self.render()}")
-        return Fraction(self._terms[_ONE_PM])
+        return self._terms.get(_ONE_PM, 0)
 
     def parameters(self) -> set[str]:
         return {n for m in self._terms for n, _ in m}

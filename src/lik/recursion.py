@@ -126,10 +126,7 @@ def log_density_rows(sys: DdeSystem) -> list[tuple[OpEntry, ...]]:
 
 def _entry_cof_rank(entry: OpEntry, w: WeightVector) -> Fraction | None:
     """Common rank of an entry's local cofactors, None for the zero entry."""
-    ranks = set()
-    for t in entry.locals:
-        for m in t.cof.monomials():
-            ranks.add(rank_of(m, w))
+    ranks = {rank_of(m, w) for t in entry.locals for m in t.cof.monomials()}
     if not ranks:
         return None
     if len(ranks) > 1:

@@ -128,15 +128,10 @@ def compute_weights(sys: DdeSystem) -> WeightVector | WeightFamily:
 
 def equation_ranks(sys: DdeSystem, w: WeightVector) -> list[Fraction]:
     """Rank of each equation; raises if any equation fails uniformity."""
-    out = []
-    for i, f in enumerate(sys.rhs):
-        target = w[i] + 1
-        for m in f.monomials():
-            if rank_of(m, w) != target:
-                raise ScalingError(
-                    f"equation {sys.names[i]} is not uniform in rank"
-                )
-        out.append(target)
+    out = [w[i] + 1 for i in range(sys.n)]
+    for name, f, target in zip(sys.names, sys.rhs, out):
+        if any(rank_of(m, w) != target for m in f.monomials()):
+            raise ScalingError(f"equation {name} is not uniform in rank")
     return out
 
 

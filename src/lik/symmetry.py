@@ -154,15 +154,9 @@ def _normalize(
 
 
 def _rank_uniform(
-    comps: tuple[LatticePoly, ...],
-    ranks: tuple[Fraction, ...],
-    w: WeightVector,
+    comps: tuple[LatticePoly, ...], ranks: tuple[Fraction, ...], w: WeightVector
 ) -> bool:
-    for c, r in zip(comps, ranks):
-        for m in c.monomials():
-            if rank_of(m, w) != r:
-                return False
-    return True
+    return all(rank_of(m, w) == r for c, r in zip(comps, ranks) for m in c.monomials())
 
 
 def level_ranks(

@@ -48,6 +48,12 @@ CASES = [
     ),
     ("volterra-recursion", 0, ("recursion", "systems/volterra.dde")),
     ("broken-toda-recursion", 2, ("recursion", "systems/broken_toda.dde")),
+    # the tall 1302 x 27 coefficient system of nullity 0
+    (
+        "bogoyavlenskii-recursion-2",
+        2,
+        ("recursion", "--levels", "2", BOGOYAVLENSKII),
+    ),
     ("param-toda-symmetries-3-4", 0, ("symmetries", "--ranks", "3,4", PARAM_TODA)),
     ("param-toda-densities-3", 0, ("densities", "--max-rank", "3", PARAM_TODA)),
     ("param-toda-densities-6", 0, ("densities", "--max-rank", "6", PARAM_TODA)),

@@ -449,3 +449,111 @@ class TestInvertiblePivot:
         neqs = _conditions(CONDITION_POOL[k] for k in assumed)
         solver = linalg._ParametricSolver(("c1",))
         assert solver._invertible(c, neqs) == _invertible_by_factoring(c, neqs)
+
+
+# -- the integer kernel: bigger matrices, content removal, row assembly -------
+
+import math  # noqa: E402
+
+from lik.linalg import column_rows  # noqa: E402
+
+
+@st.composite
+def wide_rational_matrices(draw):
+    """(ncols, rows): up to 9 columns and 16 rows, numerators up to 10^6
+    and denominators up to 50, rows negated at random (so leading entries
+    of either sign), with duplicated, scaled and summed rows mixed in so
+    that tall matrices still have a nullspace."""
+    ncols = draw(st.integers(1, 9))
+    big = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 50))
+    # two zeros to one nonzero, so that rows are sparse as in lik's systems
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), big)
+    rows = draw(
+        st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=8)
+    )
+    rows = [[-v for v in row] if draw(st.booleans()) else row for row in rows]
+    extra = draw(
+        st.lists(
+            st.tuples(st.integers(0, 15), st.integers(0, 15), big),
+            max_size=16 - len(rows),
+        )
+    )
+    for i, j, scale in extra:
+        a, b = rows[i % len(rows)], rows[j % len(rows)]
+        # a scaled copy of one row, or that plus another row
+        rows.append([scale * x + (y if i != j else 0) for x, y in zip(a, b)])
+    return ncols, rows
+
+
+class TestIntegerKernel:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(wide_rational_matrices())
+    def test_nullspace_matches_sympy_rref_on_big_entries(self, matrix):
+        ncols, rows = matrix
+        unknowns = tuple(f"c{k + 1}" for k in range(ncols))
+        system = rows_from(
+            [{t: v for t, v in zip(unknowns, row) if v} for row in rows], unknowns
+        )
+        got = [
+            [(t, c.as_fraction()) for t, c in vec.items()]
+            for vec in nullspace(system).basis
+        ]
+        assert got == sympy_nullspace(ncols, rows, unknowns)
+
+    def test_elimination_divides_out_the_content(self):
+        # 1*row - 1*piv is (0, 4, -4): its content 4 is divided out
+        row, piv = {0: 1, 1: 7, 2: 1}, {0: 1, 1: 3, 2: 5}
+        assert linalg._eliminated(row, 0, piv) == {1: 1, 2: -1}
+        # p = 4 and r = -6 enter through their cofactors of gcd 2:
+        # 2*row - (-3)*piv
+        assert linalg._eliminated({0: -6, 2: 1}, 0, {0: 4, 1: 1}) == {1: 3, 2: 2}
+
+    def test_content_removal_keeps_vandermonde_entries_small(self, monkeypatch):
+        # rows (1, k, ..., k^5) for k = 1..5: cross multiplication alone
+        # grows the entries past 10^29 on this matrix; with each row made
+        # primitive no entry exceeds 781
+        produced = []
+        eliminated = linalg._eliminated
+
+        def recording(row, col, piv):
+            out = eliminated(row, col, piv)
+            produced.append(out)
+            return out
+
+        monkeypatch.setattr(linalg, "_eliminated", recording)
+        unknowns = tuple(f"c{k + 1}" for k in range(6))
+        system = rows_from(
+            [{t: k**e for e, t in enumerate(unknowns)} for k in range(1, 6)], unknowns
+        )
+        (vec,) = nullspace(system).basis
+        # the coefficients of (x - 1)(x - 2)...(x - 5), constant term first
+        assert [vec[t].as_fraction() for t in unknowns] == [
+            -120, 274, -225, 85, -15, 1
+        ]
+        assert produced
+        assert all(math.gcd(*row.values()) == 1 for row in produced if row)
+        assert max(abs(v) for row in produced for v in row.values()) <= 781
+
+
+class TestColumnRows:
+    def test_term_order_of_the_polynomials_does_not_matter(self):
+        polys = [P("u[0]^2*v[1] - 3*u[0] + v[0]*v[2]"), P("2*u[0] + u[1]^3 - v[0]*v[2]")]
+        reordered = [LatticePoly(dict(reversed(p.items()))) for p in polys]
+        assert reordered == polys
+        assert [list(p.terms()) for p in reordered] != [list(p.terms()) for p in polys]
+
+        def rows(slot1):
+            out = column_rows(("c1", "c2"), [(P("v[0]"), slot1[0]), (P("2*v[0]"), slot1[1])])
+            return [[(t, c.as_fraction()) for t, c in r.items()] for r in out]
+
+        # slot 0 first, then slot 1's monomials in term_key order:
+        # u[0]^2*v[1], u[1]^3, v[0]*v[2], u[0]
+        expected = [
+            [("c1", 1), ("c2", 2)],
+            [("c1", 1)],
+            [("c2", 1)],
+            [("c1", 1), ("c2", -1)],
+            [("c1", -3), ("c2", 2)],
+        ]
+        assert rows(polys) == expected
+        assert rows(reordered) == expected
