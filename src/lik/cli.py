@@ -27,7 +27,7 @@ from .conservation import (
     solve_density,
 )
 from .expr import LatticePoly, render_poly
-from .linalg import Branch
+from .linalg import DEFAULT_BRANCH_DEPTH, Branch
 from .operators import DiffOperator, render_operator
 from .params import ParamCoeff
 from .parser import (
@@ -39,6 +39,7 @@ from .parser import (
     parse_system,
 )
 from .recursion import (
+    DEFAULT_LEVELS,
     RecursionOutcome,
     generation_step,
     identity_residual,
@@ -65,8 +66,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_RESULT = 2
 EXIT_VERIFY_FAIL = 3
-
-DEFAULT_BRANCH_DEPTH = 6
 
 
 class UsageError(Exception):
@@ -118,9 +117,7 @@ class Report:
         self.recursion_verdict = ""  # the text verdict line, set by set_recursion
 
     def set_weights(self, w: WeightVector):
-        self.doc["weights"] = {
-            n: str(v) for n, v in zip(self.names, w.weights)
-        }
+        self.doc["weights"] = {n: str(v) for n, v in zip(self.names, w)}
 
     def add_density(self, r):
         flux = render_poly(r.flux, self.names)  # schema v1 repeats it
@@ -318,15 +315,11 @@ def _resolve_weights(sys_: DdeSystem) -> WeightVector:
     w = compute_weights(sys_)
     if isinstance(w, WeightFamily):
         free = ", ".join(sys_.names[i] for i in w.free_components)
-        raise _NoResult(
+        raise ScalingError(
             "weights are underdetermined: pin a free component with "
             f"--weight (free: {free})"
         )
     return w
-
-
-class _NoResult(Exception):
-    pass
 
 
 def _branch_depth(args) -> int:
@@ -359,7 +352,8 @@ def _add_common(sub: argparse.ArgumentParser):
         "--branch-depth",
         type=int,
         default=None,
-        help="parameter case-split depth (default 6, env LIK_BRANCH_DEPTH)",
+        help="parameter case-split depth "
+        f"(default {DEFAULT_BRANCH_DEPTH}, env LIK_BRANCH_DEPTH)",
     )
 
 
@@ -397,8 +391,8 @@ def build_argparser() -> _Parser:
     sub = subs.add_parser("recursion", help="recursion operator")
     _add_common(sub)
     sub.add_argument(
-        "--levels", type=int, default=3,
-        help="symmetry levels to compute first (default 3)",
+        "--levels", type=int, default=DEFAULT_LEVELS,
+        help=f"symmetry levels to compute first (default {DEFAULT_LEVELS})",
     )
     sub.add_argument("--gap", type=int, default=1, help="symmetry gap (default 1)")
 
@@ -459,7 +453,7 @@ def _cmd_symmetries(args, sys_: DdeSystem, w: WeightVector, report: Report) -> i
         if args.levels < 1:
             raise UsageError("--levels must be at least 1")
         for level in range(1, args.levels + 1):
-            rank_vectors.append(level_ranks(sys_, w, level, args.gap))
+            rank_vectors.append(level_ranks(w, level, args.gap))
     found = 0
     for ranks in rank_vectors:
         cand = build_symmetry_candidate(sys_, w, ranks)
@@ -586,7 +580,7 @@ def main(argv: list[str] | None = None) -> int:
         report = Report(args.command, sys_)
         try:
             w = _resolve_weights(sys_)
-        except (ScalingError, _NoResult):
+        except ScalingError:
             if args.command != "verify":  # verification needs no weights
                 raise
             w = None
@@ -599,7 +593,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ScalingError, _NoResult) as exc:
+    except ScalingError as exc:
         print(f"no result: {exc}", file=sys.stderr)
         return EXIT_NO_RESULT
     sys.stdout.write(report.to_json() if args.json else report.to_text())

@@ -27,6 +27,7 @@ from .expr import (
     total_time_derivative,
 )
 from .linalg import (
+    DEFAULT_BRANCH_DEPTH,
     Branch,
     LinearSystem,
     fresh_tags,
@@ -70,30 +71,27 @@ def _pure_power_normalization(
 ) -> tuple[dict[str, ParamCoeff], str]:
     """Scale so the first pure-power block x^k has coefficient 1/k, else the
     leading block has coefficient 1."""
-    for tag, m in zip(cand.unknowns, cand.blocks):
-        pairs = m.pairs
-        if len(pairs) == 1 and pairs[0][0].shift == 0 and tag in vec:
-            c = vec[tag]
-            if c.is_rational and c.as_fraction() != 0:
-                k = pairs[0][1]
-                return (
-                    normalize_basis_vector(vec, tag, Fraction(1, k)),
-                    f"coefficient of pure power set to 1/{k}",
-                )
-    for tag in cand.unknowns:
-        c = vec.get(tag)
-        if c is not None and c.is_rational and c.as_fraction() != 0:
-            return (
-                normalize_basis_vector(vec, tag, Fraction(1)),
-                "leading coefficient set to 1",
-            )
+    powers = {
+        tag: m.pairs[0][1]
+        for tag, m in zip(cand.unknowns, cand.blocks)
+        if len(m.pairs) == 1 and m.pairs[0][0].shift == 0
+    }
+    scaled = normalize_basis_vector(
+        vec, ((tag, Fraction(1, k)) for tag, k in powers.items())
+    )
+    if scaled is not None:
+        tag, vec = scaled
+        return vec, f"coefficient of pure power set to 1/{powers[tag]}"
+    scaled = normalize_basis_vector(vec, ((tag, 1) for tag in cand.unknowns))
+    if scaled is not None:
+        return scaled[1], "leading coefficient set to 1"
     return vec, "unnormalized (parametric leading coefficient)"
 
 
 def solve_density(
     cand: DensityCandidate,
     sys: DdeSystem,
-    max_depth: int = 6,
+    max_depth: int = DEFAULT_BRANCH_DEPTH,
 ) -> tuple[list[DensityResult], list[Branch]]:
     """Determine the unknown coefficients; one result per solution basis
     vector on each branch with solutions.  Returns (results, branches)."""

@@ -47,6 +47,9 @@ from .params import ParamCoeff
 # A sparse row: column index -> nonzero entry.
 Row = dict[int, ParamCoeff]
 
+# How many nested case splits a parametric solve may make.
+DEFAULT_BRANCH_DEPTH = 6
+
 
 class LinearSolveError(ValueError):
     pass
@@ -547,7 +550,9 @@ def nullspace(system: LinearSystem) -> SolveOutcome:
     return _rational_nullspace(system.unknowns, rows)
 
 
-def parametric_solve(system: LinearSystem, max_depth: int = 6) -> list[Branch]:
+def parametric_solve(
+    system: LinearSystem, max_depth: int = DEFAULT_BRANCH_DEPTH
+) -> list[Branch]:
     """Case-split solve of a homogeneous system.
 
     A parameter-free system gives one unconditional branch.  Returns every
@@ -572,32 +577,25 @@ def parametric_solve(system: LinearSystem, max_depth: int = 6) -> list[Branch]:
 
 
 def normalize_basis_vector(
-    vec: dict[str, ParamCoeff], tag: str, value: Fraction
-) -> dict[str, ParamCoeff]:
-    """Scale a basis vector so vec[tag] == value (tag entry must be a
-    nonzero rational)."""
-    cur = vec.get(tag)
-    if cur is None or not cur.is_rational or cur.as_fraction() == 0:
-        raise LinearSolveError(f"cannot normalize on unknown {tag}")
-    k = Fraction(value) / cur.as_fraction()
-    return {t: c.scale(k) for t, c in vec.items()}
+    vec: dict[str, ParamCoeff], targets: Iterable[tuple[str, Fraction | int]]
+) -> tuple[str, dict[str, ParamCoeff]] | None:
+    """vec scaled so that its entry at the first target tag holding a
+    nonzero rational equals that target's value, with the tag; None when
+    no target tag holds one."""
+    for tag, value in targets:
+        cur = vec.get(tag)
+        if cur is not None and cur.is_rational and cur.as_fraction() != 0:
+            k = value / cur.as_fraction()
+            return tag, {t: c.scale(k) for t, c in vec.items()}
+    return None
 
 
-def evaluate_row(
-    row: Sequence[ParamCoeff], unknowns: Sequence[str], vec: dict[str, ParamCoeff]
-) -> ParamCoeff:
-    total = ParamCoeff.zero()
-    for c, t in zip(row, unknowns):
-        if t in vec and not c.is_zero:
-            total = total + c * vec[t]
-    return total
-
-
-def fresh_tags(count: int, reserved: Iterable[str], prefix: str = "c") -> tuple[str, ...]:
-    """Deterministic unknown tags c1..cN avoiding reserved names."""
+def fresh_tags(count: int, reserved: Iterable[str]) -> tuple[str, ...]:
+    """Deterministic unknown tags c1..cN avoiding reserved names: on a
+    clash the prefix is k, q or t, then cc, kk, qq, tt, ccc, ..."""
     reserved = set(reserved)
-    for pfx in itertools.chain([prefix], ("k", "q", "t")):
-        tags = tuple(f"{pfx}{i}" for i in range(1, count + 1))
-        if not (set(tags) & reserved):
-            return tags
-    raise LinearSolveError("could not allocate unknown tags")
+    for length in itertools.count(1):
+        for pfx in "ckqt":
+            tags = tuple(f"{pfx * length}{i}" for i in range(1, count + 1))
+            if reserved.isdisjoint(tags):
+                return tags

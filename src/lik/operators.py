@@ -221,10 +221,8 @@ class OpEntry:
         return cls((), [NonlocalOpTerm(LatticePoly.const(1), LatticePoly.const(1), 0)])
 
     @classmethod
-    def sandwich(
-        cls, left: LatticePoly, right: LatticePoly, power: int = 0
-    ) -> "OpEntry":
-        return cls((), [NonlocalOpTerm(left, right, power)])
+    def sandwich(cls, left: LatticePoly, right: LatticePoly) -> "OpEntry":
+        return cls((), [NonlocalOpTerm(left, right, 0)])
 
     # -- algebra -----------------------------------------------------------
 
@@ -329,15 +327,6 @@ class DiffOperator:
     @classmethod
     def zero(cls, n: int) -> "DiffOperator":
         return cls([[OpEntry.zero() for _ in range(n)] for _ in range(n)])
-
-    @classmethod
-    def identity(cls, n: int) -> "DiffOperator":
-        return cls(
-            [
-                [OpEntry.identity() if i == j else OpEntry.zero() for j in range(n)]
-                for i in range(n)
-            ]
-        )
 
     @property
     def n(self) -> int:

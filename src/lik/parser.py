@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .expr import LatticePoly
 from .operators import DiffOperator, OpEntry
@@ -337,6 +337,15 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line that is not blank once its comment
+    is stripped; the line keeps its leading whitespace."""
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.split("#", 1)[0].rstrip()
+        if stripped.strip():
+            yield ln, stripped
+
+
 _EQ_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*'\s*=")
 _DIRECTIVE_RE = re.compile(r"^\s*(params|weight)\s*:")
 
@@ -348,15 +357,11 @@ def parse_system(text: str) -> DdeSystem:
     variable must appear on some left-hand side; right-hand sides must be
     polynomial (no negative powers).
     """
-    lines = text.splitlines()
     params: list[str] = []
     equations: list[tuple[str, str, int, int]] = []  # name, rhs, line, col
     weight_lines: list[tuple[str, str, int]] = []
 
-    for ln, raw in enumerate(lines, start=1):
-        stripped = raw.split("#", 1)[0].rstrip()
-        if not stripped.strip():
-            continue
+    for ln, stripped in _content_lines(text):
         d = _DIRECTIVE_RE.match(stripped)
         if d:
             body = stripped.split(":", 1)[1]
@@ -392,7 +397,7 @@ def parse_system(text: str) -> DdeSystem:
         equations.append((name, rhs_text, ln, m.end() + 1))
 
     if not equations:
-        raise ParseError("no equations found", max(len(lines), 1), 1)
+        raise ParseError("no equations found", max(len(text.splitlines()), 1), 1)
     names = tuple(sorted(e[0] for e in equations))
     overlap = set(names) & set(params)
     if overlap:
@@ -426,19 +431,6 @@ def parse_system(text: str) -> DdeSystem:
     return DdeSystem(names, tuple(rhs), tuple(params), pins)  # type: ignore[arg-type]
 
 
-def render_system(sys: DdeSystem) -> str:
-    from .expr import render_poly
-
-    lines = []
-    if sys.params:
-        lines.append("params: " + ", ".join(sys.params))
-    for name, f in zip(sys.names, sys.rhs):
-        lines.append(f"{name}' = {render_poly(f, sys.names)}")
-    for i, val in sorted(sys.weight_pins.items()):
-        lines.append(f"weight: {sys.names[i]} = {val}")
-    return "\n".join(lines)
-
-
 _ASSIGN_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.*)$")
 _MATRIX_RE = re.compile(r"^\s*R\s*\[\s*(\d+)\s*\]\s*\[\s*(\d+)\s*\]\s*=\s*(.*)$")
 
@@ -447,10 +439,7 @@ def parse_assignments(text: str) -> list[tuple[str, str, int, int]]:
     """key = expression lines with comments stripped; returns (key, rhs,
     line, column of rhs)."""
     out = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].rstrip()
-        if not stripped.strip():
-            continue
+    for ln, stripped in _content_lines(text):
         m = _ASSIGN_RE.match(stripped)
         if not m:
             raise ParseError("expected key = expression", ln, 1)
@@ -465,10 +454,7 @@ def parse_operator_matrix(
     n = len(names)
     entries = [[OpEntry.zero() for _ in range(n)] for _ in range(n)]
     seen = set()
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].rstrip()
-        if not stripped.strip():
-            continue
+    for ln, stripped in _content_lines(text):
         m = _MATRIX_RE.match(stripped)
         if not m:
             raise ParseError("expected R[i][j] = <operator entry>", ln, 1)

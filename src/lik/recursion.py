@@ -27,6 +27,7 @@ from typing import NamedTuple, Sequence
 from .conservation import build_density_candidate, solve_density
 from .expr import LatticeMonomial, LatticePoly, VarRef, delta_decompose
 from .linalg import (
+    DEFAULT_BRANCH_DEPTH,
     LinearSolveError,
     LinearSystem,
     column_rows,
@@ -49,6 +50,9 @@ from .symmetry import (
 from .system import DdeSystem
 
 RankMatrix = tuple[tuple[Fraction, ...], ...]
+
+# How many symmetry levels recursion_pipeline computes before the operator.
+DEFAULT_LEVELS = 3
 
 
 def rank_matrix(ga: SymmetryResult, gb: SymmetryResult) -> RankMatrix:
@@ -151,7 +155,7 @@ def default_covariants(
     w: WeightVector,
     symmetries: Sequence[SymmetryResult],
     rm: RankMatrix,
-    max_depth: int = 6,
+    max_depth: int = DEFAULT_BRANCH_DEPTH,
 ) -> list[tuple[OpEntry, ...]]:
     """Covariant pool: detected logarithmic densities plus polynomial
     densities up to the rank admissible by the rank matrix."""
@@ -203,7 +207,7 @@ def build_r1(
             for i in range(n):
                 if comps[i].is_zero:
                     continue
-                left = OpEntry.sandwich(comps[i], LatticePoly.const(1), 0)
+                left = OpEntry.sandwich(comps[i], LatticePoly.const(1))
                 for j in range(n):
                     if row[j].is_zero:
                         continue
@@ -220,7 +224,7 @@ def build_candidate(
     w: WeightVector,
     rm: RankMatrix,
     symmetries: Sequence[SymmetryResult],
-    max_depth: int = 6,
+    max_depth: int = DEFAULT_BRANCH_DEPTH,
 ) -> OperatorCandidate:
     r0 = build_r0(sys, w, rm)
     covariants = default_covariants(sys, w, symmetries, rm, max_depth)
@@ -332,7 +336,7 @@ def solve_recursion(
     w: WeightVector,
     symmetries: Sequence[SymmetryResult],
     gap: int = 1,
-    max_depth: int = 6,
+    max_depth: int = DEFAULT_BRANCH_DEPTH,
 ) -> RecursionOutcome:
     """Determine the candidate coefficients from consecutive symmetry
     pairs plus defining-identity probes, then verify the survivor."""
@@ -411,15 +415,14 @@ def _determine(
             f"solution space still {outcome.dimension}-dimensional after "
             "using every supplied symmetry pair",
         )
-    vec = outcome.basis[0]
-    mu1 = vec.get("mu1")
-    if mu1 is None or mu1.as_fraction() == 0:
+    scaled = normalize_basis_vector(outcome.basis[0], [("mu1", 1)])
+    if scaled is None:
         raise _NoOperator(
             "generation",
             "no operator maps the first symmetry to the second (scale "
             "coefficient vanishes)",
         )
-    solution = normalize_basis_vector(vec, "mu1", Fraction(1))
+    _, solution = scaled
     coeffs = {
         tag: solution.get(tag, ParamCoeff.zero()).as_fraction()
         for tag in cand.unknowns
@@ -486,9 +489,9 @@ def _verify(
 def recursion_pipeline(
     sys: DdeSystem,
     w: WeightVector,
-    levels: int = 3,
+    levels: int = DEFAULT_LEVELS,
     gap: int = 1,
-    max_depth: int = 6,
+    max_depth: int = DEFAULT_BRANCH_DEPTH,
 ) -> tuple[RecursionOutcome, list[SymmetryResult]]:
     """Compute the symmetry chain, then solve for the operator.
 
@@ -499,7 +502,7 @@ def recursion_pipeline(
     found: list[SymmetryResult] = []
     try:
         for level in range(1, levels + 1):
-            ranks = level_ranks(sys, w, level, 1)
+            ranks = level_ranks(w, level)
             cand = build_symmetry_candidate(sys, w, ranks)
             if cand is None:
                 raise _NoOperator(

@@ -26,22 +26,12 @@ from .system import DdeSystem
 
 
 class ScalingError(ValueError):
-    """System is not dilation invariant (no positive rational weights)."""
+    """No unique positive rational weights: the system is not dilation
+    invariant, or its weights are underdetermined."""
 
 
-class WeightVector:
-    """One rational weight per component; the time derivative has weight 1."""
-
-    __slots__ = ("weights",)
-
-    def __init__(self, weights: tuple[Fraction, ...]):
-        self.weights = weights
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.weights[i]
-
-    def __len__(self) -> int:
-        return len(self.weights)
+# One rational weight per component; the time derivative has weight 1.
+WeightVector = tuple[Fraction, ...]
 
 
 class WeightFamily(NamedTuple):
@@ -85,7 +75,7 @@ def compute_weights(sys: DdeSystem) -> WeightVector | WeightFamily:
     """Solve the rank-uniformity balance equations over the rationals.
 
     Parameters are weightless constants; weights are pinned only through
-    sys.weight_pins.  Returns a WeightVector when the solution is unique
+    sys.weight_pins.  Returns the weight tuple when the solution is unique
     (and positive), a WeightFamily when a free scale remains, and raises
     ScalingError when no positive solution exists.
     """
@@ -123,7 +113,7 @@ def compute_weights(sys: DdeSystem) -> WeightVector | WeightFamily:
             "system is not dilation invariant: no positive rational weights "
             f"(solution was {tuple(str(v) for v in particular)})"
         )
-    return WeightVector(particular)
+    return particular
 
 
 def equation_ranks(sys: DdeSystem, w: WeightVector) -> list[Fraction]:
@@ -166,7 +156,7 @@ def monomials_upto_rank(
     max_rank = Fraction(max_rank)
     if max_rank <= 0:
         raise ValueError("rank bound must be positive")
-    if any(v <= 0 for v in w.weights):
+    if any(v <= 0 for v in w):
         raise ValueError("monomial enumeration needs strictly positive weights")
     pool = [VarRef(comp, 0) for comp in range(len(w))]
     return tuple(m for m in power_products(pool, w, max_rank) if not m.is_constant)

@@ -21,6 +21,7 @@ from .expr import (
     total_time_derivative,
 )
 from .linalg import (
+    DEFAULT_BRANCH_DEPTH,
     Branch,
     LinearSystem,
     fresh_tags,
@@ -31,14 +32,6 @@ from .operators import DiffOperator, LocalOpTerm, OpEntry
 from .params import ParamCoeff
 from .scaling import WeightVector, building_blocks, rank_of
 from .system import DdeSystem
-
-
-def frechet_apply(
-    f: Sequence[LatticePoly], g: Sequence[LatticePoly]
-) -> list[LatticePoly]:
-    """Directional derivative of f along g: the first-order coefficient of
-    f evaluated at u + eps*g."""
-    return [dir_derivative(fi, g) for fi in f]
 
 
 def linearization_row(p: LatticePoly, n: int) -> tuple[OpEntry, ...]:
@@ -90,10 +83,11 @@ def build_symmetry_candidate(
 def symmetry_residual(
     g: Sequence[LatticePoly], sys: DdeSystem
 ) -> list[LatticePoly]:
-    """Dt G - F'[G] with time derivatives eliminated on solutions."""
-    fr = frechet_apply(sys.rhs, g)
+    """Dt G - F'[G] with time derivatives eliminated on solutions; F'[G] is
+    the directional derivative of the right-hand side F along G."""
     return [
-        total_time_derivative(gi, sys) - fi for gi, fi in zip(g, fr)
+        total_time_derivative(gi, sys) - dir_derivative(fi, g)
+        for gi, fi in zip(g, sys.rhs)
     ]
 
 
@@ -102,7 +96,7 @@ def solve_symmetry(
     sys: DdeSystem,
     w: WeightVector,
     normalize_tag: str | None = None,
-    max_depth: int = 6,
+    max_depth: int = DEFAULT_BRANCH_DEPTH,
 ) -> tuple[list[SymmetryResult], list[Branch]]:
     """Impose the defining identity monomial-wise and solve.
 
@@ -120,12 +114,14 @@ def solve_symmetry(
         LinearSystem.from_columns(cand.unknowns, columns), max_depth
     )
 
+    order = [normalize_tag] if normalize_tag else cand.unknowns[::-1]
     results: list[SymmetryResult] = []
     for br in branches:
         if br.outcome is None:
             continue
         for vec in br.outcome.basis:
-            vec2 = _normalize(vec, cand, normalize_tag)
+            scaled = normalize_basis_vector(vec, ((tag, 1) for tag in order))
+            vec2 = vec if scaled is None else scaled[1]
             acc = [LatticePoly.zero()] * n
             for tag, (i, m) in zip(cand.unknowns, units):
                 c = vec2.get(tag)
@@ -140,29 +136,14 @@ def solve_symmetry(
     return results, branches
 
 
-def _normalize(
-    vec: dict[str, ParamCoeff],
-    cand: SymmetryCandidate,
-    normalize_tag: str | None,
-) -> dict[str, ParamCoeff]:
-    order = [normalize_tag] if normalize_tag else reversed(cand.unknowns)
-    for tag in order:
-        c = vec.get(tag)
-        if c is not None and c.is_rational and c.as_fraction() != 0:
-            return normalize_basis_vector(vec, tag, Fraction(1))
-    return vec
-
-
 def _rank_uniform(
     comps: tuple[LatticePoly, ...], ranks: tuple[Fraction, ...], w: WeightVector
 ) -> bool:
     return all(rank_of(m, w) == r for c, r in zip(comps, ranks) for m in c.monomials())
 
 
-def level_ranks(
-    sys: DdeSystem, w: WeightVector, level: int, gap: int = 1
-) -> tuple[Fraction, ...]:
+def level_ranks(w: WeightVector, level: int, gap: int = 1) -> tuple[Fraction, ...]:
     """Rank vector of the level-th symmetry in the hierarchy: each
     component weight raised by level steps of the gap size."""
-    return tuple(wi + level * gap for wi in w.weights)
+    return tuple(wi + level * gap for wi in w)
 

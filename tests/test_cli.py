@@ -343,6 +343,25 @@ class TestDiagnostics:
         assert code == 1 and out == ""
         assert f"3:1: duplicate assignment for {key!r}" in err
 
+    @pytest.mark.parametrize(
+        "argv, found",
+        [
+            (("densities", "--max-rank", "1"), "rho = u[0]"),
+            (("symmetries", "--levels", "1"), "G_u = -u[-1]*u[0] + u[0]*u[1]"),
+            (("recursion",), "verdict: generates G(2), G(3), G(4), G(5): verified"),
+        ],
+    )
+    def test_parameters_named_like_unknown_tags(self, capsys, tmp_path, argv, found):
+        # the first tag of every one-letter prefix is taken by a parameter
+        p = tmp_path / "clash.dde"
+        p.write_text("params: c1, k1, q1, t1\nu' = c1*k1*q1*t1*u[0]*(u[1] - u[-1])\n")
+        code, out, err = run(capsys, *argv, str(p))
+        assert (code, err) == (0, "")
+        assert found in out
+        coefficients = [x for x in out.splitlines() if "coefficients:" in x]
+        for name in ("c1", "k1", "q1", "t1"):
+            assert all(f" {name} = " not in x for x in coefficients)
+
     def test_usage_error(self, capsys, toda_file):
         code, _, err = run(capsys, "densities", toda_file)
         assert code == 1

@@ -10,7 +10,6 @@ from lik.expr import LatticePoly
 from lik.linalg import (
     LinearSolveError,
     LinearSystem,
-    evaluate_row,
     fresh_tags,
     normalize_basis_vector,
     nullspace,
@@ -21,6 +20,17 @@ from lik.params import ParamCoeff
 
 def R(v) -> ParamCoeff:
     return ParamCoeff.from_value(Fraction(v))
+
+
+def evaluate_row(
+    row: tuple[ParamCoeff, ...], unknowns: tuple[str, ...], vec: dict[str, ParamCoeff]
+) -> ParamCoeff:
+    """The row's entries dotted with vec (absent tags count as zero)."""
+    total = ParamCoeff.zero()
+    for c, t in zip(row, unknowns):
+        if t in vec:
+            total = total + c * vec[t]
+    return total
 
 
 def rows_from(entries, unknowns):
@@ -42,7 +52,7 @@ class TestNullspace:
         )
         out = nullspace(sys)
         assert out.dimension == 1
-        vec = normalize_basis_vector(out.basis[0], "c1", Fraction(1, 3))
+        _, vec = normalize_basis_vector(out.basis[0], [("c1", Fraction(1, 3))])
         assert {t: c.as_fraction() for t, c in vec.items()} == {
             "c1": Fraction(1, 3),
             "c2": Fraction(1),
@@ -341,19 +351,20 @@ def _value_of_a(cond: ParamCoeff) -> Fraction | None:
     return -h.as_fraction() / g.as_fraction()
 
 
-def _check_at(branch, system, value):
-    """Every basis vector annihilates every row at a = value, and there are
-    as many vectors as sympy's nullity of the specialized matrix."""
-    at = {"a": R(value)}
+def _check_at(branch, system, point):
+    """Every basis vector annihilates every row at the parameter point, and
+    there are as many vectors as sympy's nullity of the specialized
+    matrix."""
+    at = {p: R(v) for p, v in point.items()}
     rows = [[c.substitute(at).as_fraction() for c in row] for row in system.rows]
     ncols = len(system.unknowns)
     flat = [sympy.Rational(v.numerator, v.denominator) for row in rows for v in row]
     rank = sympy.Matrix(len(rows), ncols, flat).rank() if rows else 0
-    assert branch.outcome.dimension == ncols - rank, f"a = {value}"
+    assert branch.outcome.dimension == ncols - rank, point
     for vec in branch.outcome.basis:
         for row in system.rows:
             resid = evaluate_row(row, system.unknowns, vec)
-            assert resid.substitute(at).is_zero, f"a = {value}"
+            assert resid.substitute(at).is_zero, point
 
 
 class TestParametricOracle:
@@ -386,7 +397,66 @@ class TestParametricOracle:
                 assert len(fixed) == 1
                 values = list(fixed)
             for v in values:
-                _check_at(branch, system, v)
+                _check_at(branch, system, {"a": v})
+
+
+class TestPendingEquations:
+    """Imposing f = 0 by solving f = g*p + h for p, where g is neither
+    rational nor a parameter monomial: the solver splits g = 0, which puts
+    f and h on the pending list, from g != 0."""
+
+    a, b = ParamCoeff.param("a"), ParamCoeff.param("b")
+    CASES = [
+        # f = a*b + a + b = (b + 1)*a + b; at b = -1 it reads -1, so the
+        # case b + 1 = 0 is contradictory
+        (
+            [{"c1": a * b + a + b, "c2": R(1)}],
+            "a*b + a + b",
+            "b + 1",
+            [{"a": Fraction(-1, 2), "b": 1}, {"a": Fraction(-2, 3), "b": 2}],
+        ),
+        # eliminating c1 leaves b*(a*b + 2*a + b + 1) on c2, with g = b + 2
+        (
+            [{"c1": a * b + a + b, "c2": a}, {"c1": R(1), "c2": b + 1}],
+            "a*b + 2*a + b + 1",
+            "b + 2",
+            [{"a": Fraction(-2, 3), "b": 1}, {"a": Fraction(-3, 4), "b": 2}],
+        ),
+    ]
+    GENERIC = [{"a": 1, "b": 1}, {"a": 2, "b": -3}, {"a": -5, "b": 7}]
+
+    @pytest.mark.parametrize("rows, f, g, on_f", CASES)
+    def test_branches_agree_with_sympy_at_points(self, monkeypatch, rows, f, g, on_f):
+        calls = []
+        resolve = linalg._ParametricSolver._resolve_pending
+
+        def counted(*args):
+            calls.append(args)
+            return resolve(*args)
+
+        monkeypatch.setattr(linalg._ParametricSolver, "_resolve_pending", counted)
+        system = LinearSystem.build(("c1", "c2"), rows)
+        branches = parametric_solve(system)
+        assert calls, "the pending-equation path did not run"
+        by_conds = {tuple(c.render() for c in br.eq_conditions): br for br in branches}
+        # the g = 0 case is dropped; the f = 0 case assumes g != 0
+        assert set(by_conds) == {(), (f,)}
+        assert g in [c.render() for c in by_conds[(f,)].neq_conditions]
+        for conds, points in (((), self.GENERIC), ((f,), on_f)):
+            br = by_conds[conds]
+            for point in points:
+                at = {p: R(v) for p, v in point.items()}
+                assert all(c.substitute(at).is_zero for c in br.eq_conditions)
+                assert not any(c.substitute(at).is_zero for c in br.neq_conditions)
+                _check_at(br, system, point)
+
+
+def test_fresh_tags_are_total():
+    # every one-letter prefix clashes: the prefix doubles
+    assert fresh_tags(2, ("c2", "k1", "q1", "t2", "x")) == ("cc1", "cc2")
+    taken = [f"{p * n}1" for n in (1, 2) for p in "ckqt"]
+    assert fresh_tags(1, taken) == ("ccc1",)
+
 
 def test_fresh_tags_avoid_reserved():
     assert fresh_tags(3, ()) == ("c1", "c2", "c3")

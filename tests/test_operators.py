@@ -66,7 +66,8 @@ class TestNormalForm:
 
 class TestApply:
     def test_identity(self, toda):
-        op = DiffOperator.identity(2)
+        one, zero = OpEntry.identity(), OpEntry.zero()
+        op = DiffOperator([[one, zero], [zero, one]])
         g = [P("u[0]^2"), P("v[0]*u[1]")]
         out = op.apply(g)
         assert [x.local for x in out] == g

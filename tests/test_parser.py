@@ -7,7 +7,6 @@ from lik.parser import (
     parse_expression,
     parse_operator_matrix,
     parse_system,
-    render_system,
 )
 
 
@@ -51,10 +50,6 @@ class TestSystems:
     def test_parameterized(self, param_toda):
         assert param_toda.params == ("a", "b")
         assert param_toda.rhs[0] == P("a*v[-1] - v[0]", params=("a", "b"))
-
-    def test_round_trip(self, toda, param_toda):
-        for s in (toda, param_toda):
-            assert parse_system(render_system(s)) == s
 
     def test_non_polynomial_rhs(self):
         with pytest.raises(ParseError) as err:

@@ -37,7 +37,7 @@ R[2][2] = u[1]*I + v[0]*(u[1] - u[0])*S*(1/v[0])
 def toda_chain(toda, toda_w):
     chain = []
     for level in (1, 2, 3):
-        ranks = tuple(wi + level for wi in toda_w.weights)
+        ranks = tuple(wi + level for wi in toda_w)
         cand = build_symmetry_candidate(toda, toda_w, ranks)
         results, _ = solve_symmetry(cand, toda, toda_w)
         (r,) = results
