@@ -146,12 +146,6 @@ def _drop_equivalent(results: list[DensityResult]) -> list[DensityResult]:
     return kept
 
 
-def is_trivial(rho: LatticePoly) -> bool:
-    """True iff rho is a forward difference of some polynomial."""
-    canonical, _ = delta_decompose(rho)
-    return canonical.is_zero
-
-
 def equivalent(rho1: LatticePoly, rho2: LatticePoly) -> Fraction | None:
     """Nonzero rational k with rho1 + k*rho2 a forward difference, else None.
 

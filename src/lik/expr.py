@@ -197,18 +197,12 @@ class LatticePoly:
     def has_negative_exponent(self) -> bool:
         return any(e < 0 for m in self._terms for _, e in m.pairs)
 
-    def sort_key(self):
-        return tuple(
-            (term_key(m), tuple(sorted(c._terms.items())))
-            for m, c in self.items()
-        )
-
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other: Union["LatticePoly", Scalar]) -> "LatticePoly":
         acc = dict(self._terms)
         for m, c in _coerce_poly(other)._terms.items():
-            _accumulate(acc, m, c)
+            accumulate(acc, m, c)
         return LatticePoly._of(acc)
 
     __radd__ = __add__
@@ -219,7 +213,7 @@ class LatticePoly:
     def __sub__(self, other: Union["LatticePoly", Scalar]) -> "LatticePoly":
         acc = dict(self._terms)
         for m, c in _coerce_poly(other)._terms.items():
-            _accumulate(acc, m, -c)
+            accumulate(acc, m, -c)
         return LatticePoly._of(acc)
 
     def __rsub__(self, other: Union["LatticePoly", Scalar]) -> "LatticePoly":
@@ -235,7 +229,7 @@ class LatticePoly:
         acc: dict[LatticeMonomial, ParamCoeff] = {}
         for ma, ca in self._terms.items():
             for mb, cb in other._terms.items():
-                _accumulate(acc, ma * mb, ca * cb)
+                accumulate(acc, ma * mb, ca * cb)
         return LatticePoly._of(acc)
 
     __rmul__ = __mul__
@@ -278,33 +272,6 @@ class LatticePoly:
             return self
         return LatticePoly({m.shifted(r): c for m, c in self._terms.items()})
 
-    def compose(self, mapping: Mapping[VarRef, "LatticePoly"]) -> "LatticePoly":
-        """Substitute whole polynomials for variables (missing variables map
-        to themselves)."""
-        out = LatticePoly.zero()
-        for m, c in self._terms.items():
-            piece = LatticePoly.const(c)
-            for x, e in m.pairs:
-                if x in mapping:
-                    piece = piece * mapping[x] ** e
-                else:
-                    piece = piece * LatticePoly.var(x.comp, x.shift, e)
-            out = out + piece
-        return out
-
-    def param_coefficient(self, name: str, power: int) -> "LatticePoly":
-        """Extract the coefficient of name**power across every term."""
-        return LatticePoly(
-            {m: c.coeff_of(name, power) for m, c in self._terms.items()}
-        )
-
-    def substitute_params(
-        self, assignment: Mapping[str, ParamCoeff]
-    ) -> "LatticePoly":
-        return LatticePoly(
-            {m: c.substitute(assignment) for m, c in self._terms.items()}
-        )
-
 
 def _coerce_poly(value: Union[LatticePoly, Scalar]) -> LatticePoly:
     if isinstance(value, LatticePoly):
@@ -312,19 +279,18 @@ def _coerce_poly(value: Union[LatticePoly, Scalar]) -> LatticePoly:
     return LatticePoly.const(value)
 
 
-def _accumulate(
-    acc: dict[LatticeMonomial, ParamCoeff], m: LatticeMonomial, c: ParamCoeff
-) -> None:
-    """acc[m] += c, dropping the term when it cancels."""
-    old = acc.get(m)
+def accumulate(acc: dict, key, c) -> None:
+    """acc[key] += c, dropping the key when the sum cancels.  The values
+    are ParamCoeff or LatticePoly; c is nonzero, so no map holds a zero."""
+    old = acc.get(key)
     if old is None:
-        acc[m] = c
+        acc[key] = c
     else:
         v = old + c
         if v.is_zero:
-            del acc[m]
+            del acc[key]
         else:
-            acc[m] = v
+            acc[key] = v
 
 
 # -- calculus -------------------------------------------------------------------
@@ -340,7 +306,7 @@ def partial(p: LatticePoly, x: VarRef) -> LatticePoly:
         rest = LatticeMonomial._of(
             tuple((y, f - 1 if y == x else f) for y, f in m.pairs if y != x or f != 1)
         )
-        _accumulate(acc, rest, c.scale(e))
+        accumulate(acc, rest, c.scale(e))
     return LatticePoly._of(acc)
 
 
@@ -370,7 +336,7 @@ def total_time_derivative(p: LatticePoly, sys: "DdeSystem") -> LatticePoly:
         if d is None:
             d = cache[rep] = dir_derivative(LatticePoly._of({rep: _ONE}), sys.rhs)
         for dm, dc in d._terms.items():
-            _accumulate(acc, dm.shifted(r), dc * c)
+            accumulate(acc, dm.shifted(r), dc * c)
     return LatticePoly._of(acc)
 
 
@@ -415,9 +381,9 @@ def delta_decompose(p: LatticePoly) -> tuple[LatticePoly, LatticePoly]:
     for m, c in p._terms.items():
         r = canonical_offset(m)
         rep = m.shifted(-r)
-        _accumulate(canonical, rep, c)
+        accumulate(canonical, rep, c)
         for sign, j in shift_correction(r):
-            _accumulate(j_terms, rep.shifted(j), c if sign > 0 else -c)
+            accumulate(j_terms, rep.shifted(j), c if sign > 0 else -c)
     return LatticePoly._of(canonical), LatticePoly._of(j_terms)
 
 

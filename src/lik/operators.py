@@ -1,18 +1,20 @@
 """Difference-operator algebra with nonlocal inverse-difference terms.
 
-Entries are sums of local terms  cof * D^a  and nonlocal sandwiches
-B * (D-I)^-1 * C.  Normal form keeps cofactors fully to the left of
-shifts via D^a(f I) = (D^a f) D^a, and consumes shifts hitting the
-inverse difference via
+An entry is a sum of local terms  cof * D^a  and nonlocal sandwiches
+B * (D-I)^-1 * m, stored as two maps: ``locals`` from the shift power a to
+its cofactor, and ``nonlocals`` from the right monomial m to its left
+cofactor B.  Normal form keeps cofactors fully to the left of shifts via
+D^a(f I) = (D^a f) D^a, and consumes shifts hitting the inverse
+difference via
 
     D^a (D-I)^-1 = (D-I)^-1 + D^(a-1) + ... + I          (a > 0)
     D^a (D-I)^-1 = (D-I)^-1 - D^-1 - ... - D^a           (a < 0),
 
 so a trailing shift is folded away: B (D-I)^-1 C D^b becomes
-B (D-I)^-1 C[-b] plus local terms.  C is then split into its monomials,
-each with coefficient 1 (B (D-I)^-1 (c m + C') = c B (D-I)^-1 m +
-B (D-I)^-1 C'), and the B of equal monomials merge, so equal operators
-compare equal.
+B (D-I)^-1 C[-b] plus local terms.  C is then split into its monomials
+(B (D-I)^-1 (c m + C') = c B (D-I)^-1 m + B (D-I)^-1 C'), and the B of
+equal monomials merge.  No map holds a zero, so equal operators have
+equal maps.
 
 A composition that would leave (D-I)^-1 immediately left of a non-constant
 cofactor stays an opaque sandwich; no illegal commuting is performed.
@@ -24,58 +26,31 @@ formal antidifference term otherwise.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .expr import (
     LatticeMonomial,
     LatticePoly,
+    accumulate,
     delta_decompose,
     dir_derivative,
+    render_monomial,
     render_poly,
     shift_correction,
     term_key,
 )
 from .params import ParamCoeff, join_signed
 
-
-class LocalOpTerm:
-    """cof * D^power."""
-
-    __slots__ = ("cof", "power")
-
-    def __init__(self, cof: LatticePoly, power: int):
-        self.cof, self.power = cof, power
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LocalOpTerm):
-            return NotImplemented
-        return (self.cof, self.power) == (other.cof, other.power)
-
-
-class NonlocalOpTerm:
-    """left * (D-I)^-1 * right * D^power; in an OpEntry right is a
-    monomial with coefficient 1 and power is 0."""
-
-    __slots__ = ("left", "right", "power")
-
-    def __init__(self, left: LatticePoly, right: LatticePoly, power: int):
-        self.left, self.right, self.power = left, right, power
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NonlocalOpTerm):
-            return NotImplemented
-        return (self.left, self.right, self.power) == (
-            other.left, other.right, other.power
-        )
+Cofactors = dict[LatticeMonomial, LatticePoly]
 
 
 class ExtendedExpr:
-    """A polynomial plus formal antidifference terms cof * Theta(arg).
+    """A polynomial plus formal antidifference terms cof * Theta(m).
 
-    Theta(arg) stands for (D-I)^-1 arg; since Theta is linear, every
-    argument is split into its shift-canonical monomials (coefficients
-    folded into the cofactors), giving a canonical representation in which
-    equal contributions merge or cancel syntactically.
+    Theta(m) stands for (D-I)^-1 m; since Theta is linear, every argument
+    is split into its shift-canonical monomials (coefficients folded into
+    the cofactors), and ``thetas`` maps each monomial m to its nonzero
+    cofactor, so equal contributions merge or cancel.
 
     A constant argument is inherently ambiguous up to an additive constant
     (the kernel of the forward difference); rank-uniform data of positive
@@ -85,25 +60,10 @@ class ExtendedExpr:
     __slots__ = ("local", "thetas")
 
     def __init__(
-        self,
-        local: LatticePoly | None = None,
-        thetas: Iterable[tuple[LatticePoly, LatticePoly]] = (),
+        self, local: LatticePoly | None = None, thetas: Cofactors | None = None
     ):
         self.local = local if local is not None else LatticePoly.zero()
-        merged: dict = {}
-        for arg, cof in thetas:
-            if arg.is_zero or cof.is_zero:
-                continue
-            for mono, c in arg.items():
-                key = term_key(mono)
-                extra = cof * c
-                if key in merged:
-                    merged[key] = (merged[key][0], merged[key][1] + extra)
-                else:
-                    merged[key] = (LatticePoly.from_monomial(mono), extra)
-        self.thetas = tuple(
-            merged[k] for k in sorted(merged) if not merged[k][1].is_zero
-        )
+        self.thetas = {} if thetas is None else thetas
 
     @property
     def is_zero(self) -> bool:
@@ -114,21 +74,23 @@ class ExtendedExpr:
         return not self.thetas
 
     def __add__(self, other: "ExtendedExpr") -> "ExtendedExpr":
-        return ExtendedExpr(
-            self.local + other.local, self.thetas + other.thetas
-        )
+        thetas = dict(self.thetas)
+        for m, cof in other.thetas.items():
+            accumulate(thetas, m, cof)
+        return ExtendedExpr(self.local + other.local, thetas)
 
     def __neg__(self) -> "ExtendedExpr":
         return ExtendedExpr(
-            -self.local, tuple((a, -c) for a, c in self.thetas)
+            -self.local, {m: -cof for m, cof in self.thetas.items()}
         )
 
     def __sub__(self, other: "ExtendedExpr") -> "ExtendedExpr":
         return self + (-other)
 
-    def scale(self, p: Union[LatticePoly, ParamCoeff, int, Fraction]) -> "ExtendedExpr":
+    def scale(self, p: Union[LatticePoly, int, Fraction]) -> "ExtendedExpr":
+        """p times the expression, for a nonzero p."""
         return ExtendedExpr(
-            self.local * p, tuple((a, c * p) for a, c in self.thetas)
+            self.local * p, {m: cof * p for m, cof in self.thetas.items()}
         )
 
     def shifted(self, r: int) -> "ExtendedExpr":
@@ -137,12 +99,11 @@ class ExtendedExpr:
         if r == 0:
             return self
         local = self.local.shifted(r)
-        thetas = []
-        for arg, cof in self.thetas:
-            cof_r = cof.shifted(r)
-            thetas.append((arg, cof_r))
+        thetas = {}
+        for m, cof in self.thetas.items():
+            cof_r = thetas[m] = cof.shifted(r)
             for sign, j in shift_correction(r):
-                local = local + cof_r * arg.shifted(j) * sign
+                local = local + cof_r * LatticePoly.from_monomial(m.shifted(j), sign)
         return ExtendedExpr(local, thetas)
 
     def __eq__(self, other: object) -> bool:
@@ -154,49 +115,38 @@ class ExtendedExpr:
         return f"ExtendedExpr(local={self.local!r}, thetas={len(self.thetas)})"
 
 
+def _add_sandwich(
+    locals_: dict[int, LatticePoly],
+    nonlocals: Cofactors,
+    left: LatticePoly,
+    right: LatticePoly,
+    power: int = 0,
+) -> None:
+    """Add left * (D-I)^-1 * right * D^power, for a nonzero left, to the
+    two maps of an entry."""
+    if power:
+        # right*D^k = D^k*right[-k], and D^k commutes with (D-I)^-1
+        right = right.shifted(-power)
+        for sign, j in shift_correction(power):
+            accumulate(locals_, j, left * right.shifted(j) * sign)
+    for m, c in right.terms():
+        accumulate(nonlocals, m, left * c)
+
+
 class OpEntry:
-    """One matrix entry: a sum of local and nonlocal operator terms."""
+    """One matrix entry: ``locals`` maps a shift power a to the cofactor of
+    D^a, ``nonlocals`` a right monomial m to the left cofactor B of
+    B * (D-I)^-1 * m.  Neither map holds a zero."""
 
     __slots__ = ("locals", "nonlocals")
 
     def __init__(
         self,
-        local_terms: Iterable[LocalOpTerm] = (),
-        nonlocal_terms: Iterable[NonlocalOpTerm] = (),
+        locals_: dict[int, LatticePoly] | None = None,
+        nonlocals: Cofactors | None = None,
     ):
-        by_power: dict[int, LatticePoly] = {}
-        for t in local_terms:
-            if t.cof.is_zero:
-                continue
-            by_power[t.power] = by_power.get(t.power, LatticePoly.zero()) + t.cof
-
-        # one term per monomial of the right cofactor, keyed by it
-        resolved_nl: dict[LatticeMonomial, LatticePoly] = {}
-        for t in nonlocal_terms:
-            if t.left.is_zero or t.right.is_zero:
-                continue
-            left, right = t.left, t.right
-            if t.power:
-                # right*D^k = D^k*right[-k], and D^k commutes with (D-I)^-1
-                right = right.shifted(-t.power)
-                for sign, j in shift_correction(t.power):
-                    by_power[j] = (
-                        by_power.get(j, LatticePoly.zero())
-                        + left * right.shifted(j) * sign
-                    )
-            for m, c in right.items():
-                resolved_nl[m] = resolved_nl.get(m, LatticePoly.zero()) + left * c
-
-        self.locals = tuple(
-            LocalOpTerm(by_power[a], a)
-            for a in sorted(by_power)
-            if not by_power[a].is_zero
-        )
-        self.nonlocals = tuple(
-            NonlocalOpTerm(resolved_nl[m], LatticePoly.from_monomial(m), 0)
-            for m in sorted(resolved_nl, key=term_key)
-            if not resolved_nl[m].is_zero
-        )
+        self.locals = {} if locals_ is None else locals_
+        self.nonlocals = {} if nonlocals is None else nonlocals
 
     # -- constructors ---------------------------------------------------
 
@@ -206,23 +156,26 @@ class OpEntry:
 
     @classmethod
     def identity(cls) -> "OpEntry":
-        return cls([LocalOpTerm(LatticePoly.const(1), 0)])
+        return cls.local(LatticePoly.const(1))
 
     @classmethod
     def local(cls, cof: LatticePoly, power: int = 0) -> "OpEntry":
-        return cls([LocalOpTerm(cof, power)])
+        return cls({} if cof.is_zero else {power: cof})
 
     @classmethod
     def shift(cls, power: int) -> "OpEntry":
-        return cls([LocalOpTerm(LatticePoly.const(1), power)])
+        return cls.local(LatticePoly.const(1), power)
 
     @classmethod
     def inverse_difference(cls) -> "OpEntry":
-        return cls((), [NonlocalOpTerm(LatticePoly.const(1), LatticePoly.const(1), 0)])
+        return cls.sandwich(LatticePoly.const(1), LatticePoly.const(1))
 
     @classmethod
     def sandwich(cls, left: LatticePoly, right: LatticePoly) -> "OpEntry":
-        return cls((), [NonlocalOpTerm(left, right, 0)])
+        out = cls()
+        if not left.is_zero:
+            _add_sandwich(out.locals, out.nonlocals, left, right)
+        return out
 
     # -- algebra -----------------------------------------------------------
 
@@ -231,9 +184,12 @@ class OpEntry:
         return not self.locals and not self.nonlocals
 
     def __add__(self, other: "OpEntry") -> "OpEntry":
-        return OpEntry(
-            self.locals + other.locals, self.nonlocals + other.nonlocals
-        )
+        loc, nl = dict(self.locals), dict(self.nonlocals)
+        for a, cof in other.locals.items():
+            accumulate(loc, a, cof)
+        for m, left in other.nonlocals.items():
+            accumulate(nl, m, left)
+        return OpEntry(loc, nl)
 
     def __neg__(self) -> "OpEntry":
         return self.scale(-1)
@@ -242,66 +198,69 @@ class OpEntry:
         return self + (-other)
 
     def scale(self, k: Union[int, Fraction, ParamCoeff]) -> "OpEntry":
+        if ParamCoeff.coerce(k).is_zero:
+            return OpEntry()
         return OpEntry(
-            [LocalOpTerm(t.cof * k, t.power) for t in self.locals],
-            [NonlocalOpTerm(t.left * k, t.right, 0) for t in self.nonlocals],
+            {a: cof * k for a, cof in self.locals.items()},
+            {m: left * k for m, left in self.nonlocals.items()},
         )
 
     def compose(self, other: "OpEntry") -> "OpEntry":
         """Operator composition self after other, in normal form."""
-        loc: list[LocalOpTerm] = []
-        nl: list[NonlocalOpTerm] = []
-        for a in self.locals:
-            for b in other.locals:
-                loc.append(
-                    LocalOpTerm(a.cof * b.cof.shifted(a.power), a.power + b.power)
-                )
-            for b in other.nonlocals:
-                base = a.cof * b.left.shifted(a.power)
-                nl.append(NonlocalOpTerm(base, b.right, 0))
-                for sign, j in shift_correction(a.power):
-                    loc.append(LocalOpTerm(base * b.right.shifted(j) * sign, j))
-        for a in self.nonlocals:
-            for b in other.locals:
-                nl.append(NonlocalOpTerm(a.left, a.right * b.cof, b.power))
+        loc: dict[int, LatticePoly] = {}
+        nl: Cofactors = {}
+        for a, cof in self.locals.items():
+            for b, cof_b in other.locals.items():
+                accumulate(loc, a + b, cof * cof_b.shifted(a))
+            for m, left in other.nonlocals.items():
+                base = cof * left.shifted(a)
+                accumulate(nl, m, base)
+                for sign, j in shift_correction(a):
+                    term = LatticePoly.from_monomial(m.shifted(j), sign)
+                    accumulate(loc, j, base * term)
+        for m, left in self.nonlocals.items():
             if other.nonlocals:
                 raise ValueError(
                     "composition of two nonlocal operator factors has no "
                     "normal form in this algebra"
                 )
+            for b, cof_b in other.locals.items():
+                _add_sandwich(loc, nl, left, LatticePoly.from_monomial(m) * cof_b, b)
         return OpEntry(loc, nl)
 
     def frechet(self, directions: Sequence[LatticePoly]) -> "OpEntry":
         """Directional derivative of every cofactor, operator skeleton fixed."""
-        loc = [
-            LocalOpTerm(dir_derivative(t.cof, directions), t.power)
-            for t in self.locals
-        ]
-        nl = []
-        for t in self.nonlocals:
-            nl.append(
-                NonlocalOpTerm(dir_derivative(t.left, directions), t.right, 0)
-            )
-            nl.append(
-                NonlocalOpTerm(t.left, dir_derivative(t.right, directions), 0)
-            )
+        loc: dict[int, LatticePoly] = {}
+        nl: Cofactors = {}
+        for a, cof in self.locals.items():
+            d = dir_derivative(cof, directions)
+            if not d.is_zero:
+                loc[a] = d
+        for m, left in self.nonlocals.items():
+            d = dir_derivative(left, directions)
+            if not d.is_zero:
+                accumulate(nl, m, d)
+            d = dir_derivative(LatticePoly.from_monomial(m), directions)
+            _add_sandwich(loc, nl, left, d)
         return OpEntry(loc, nl)
 
     def apply(self, g: Union[LatticePoly, ExtendedExpr]) -> ExtendedExpr:
         if isinstance(g, LatticePoly):
             g = ExtendedExpr(g)
         acc = ExtendedExpr()
-        for t in self.locals:
-            acc = acc + g.shifted(t.power).scale(t.cof)
-        for t in self.nonlocals:
+        for a, cof in self.locals.items():
+            acc = acc + g.shifted(a).scale(cof)
+        for m, left in self.nonlocals.items():
             if not g.is_local:
                 raise ValueError(
                     "cannot push an unresolved antidifference through "
                     "another inverse difference"
                 )
             # (D-I)^-1 (canonical + (D-I) exact) = Theta(canonical) + exact
-            canonical, exact = delta_decompose(t.right * g.local)
-            acc = acc + ExtendedExpr(t.left * exact, [(canonical, t.left)])
+            canonical, exact = delta_decompose(LatticePoly.from_monomial(m) * g.local)
+            acc = acc + ExtendedExpr(
+                left * exact, {mc: left * c for mc, c in canonical.terms()}
+            )
         return acc
 
     def __eq__(self, other: object) -> bool:
@@ -423,18 +382,15 @@ def render_entry(entry: OpEntry, names: Sequence[str]) -> str:
     if entry.is_zero:
         return "0"
     pieces: list[tuple[str, str]] = []
-    for t in entry.locals:
-        sign, factor = _factor_str(t.cof, names)
-        op = _op_symbol(t.power)
+    for a in sorted(entry.locals):
+        sign, factor = _factor_str(entry.locals[a], names)
+        op = _op_symbol(a)
         pieces.append((sign, f"{factor}*{op}" if factor else op))
-    for t in entry.nonlocals:
-        sign, factor = _factor_str(t.left, names)
+    for m in sorted(entry.nonlocals, key=term_key):
+        sign, factor = _factor_str(entry.nonlocals[m], names)
         body = f"{factor}*S" if factor else "S"
-        if t.right != LatticePoly.const(1):
-            rsign, rfactor = _factor_str(t.right, names)
-            if rsign == "-":
-                sign = "-" if sign == "+" else "+"
-            body += f"*{rfactor}" if rfactor else ""
+        if not m.is_constant:
+            body += f"*{render_monomial(m, names)}"
         pieces.append((sign, body))
     return join_signed(pieces)
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .conservation import build_density_candidate, solve_density
-from .expr import LatticeMonomial, LatticePoly, VarRef, delta_decompose
+from .expr import LatticeMonomial, LatticePoly, VarRef, delta_decompose, term_key
 from .linalg import (
     DEFAULT_BRANCH_DEPTH,
     LinearSolveError,
@@ -99,7 +99,7 @@ def build_r0(
                 if rank_of(m, w) == rm[i][j]
             ]
             # the shift powers of F'(u)[i][j], identity included
-            shifts = {0} | {t.power for t in fp.entries[i][j].locals}
+            shifts = {0} | set(fp.entries[i][j].locals)
             for a in sorted(shifts):
                 for m in cofactors:
                     parts.append((i, j, m, a))
@@ -130,7 +130,7 @@ def log_density_rows(sys: DdeSystem) -> list[tuple[OpEntry, ...]]:
 
 def _entry_cof_rank(entry: OpEntry, w: WeightVector) -> Fraction | None:
     """Common rank of an entry's local cofactors, None for the zero entry."""
-    ranks = {rank_of(m, w) for t in entry.locals for m in t.cof.monomials()}
+    ranks = {rank_of(m, w) for cof in entry.locals.values() for m in cof.monomials()}
     if not ranks:
         return None
     if len(ranks) > 1:
@@ -309,8 +309,7 @@ def _constraint_rows(
     operator in ops applied to g, then the fixed columns.
 
     Each column has, per component, one local slot, then one slot per
-    formal antidifference argument group in sorted key order (the group's
-    cofactor).
+    formal antidifference monomial in term order (its cofactor).
     """
     applied = {tag: op.apply(list(g)) for tag, op in zip(cand.unknowns, ops)}
     applied.update(fixed or {})
@@ -318,16 +317,11 @@ def _constraint_rows(
     zero = LatticePoly.zero()
     for i in range(cand.n):
         keys = sorted(
-            {
-                arg.sort_key()
-                for exprs in applied.values()
-                for arg, _ in exprs[i].thetas
-            }
+            {m for exprs in applied.values() for m in exprs[i].thetas}, key=term_key
         )
         for tag, exprs in applied.items():
-            cofs = {arg.sort_key(): cof for arg, cof in exprs[i].thetas}
             columns[tag].append(exprs[i].local)
-            columns[tag].extend(cofs.get(k, zero) for k in keys)
+            columns[tag].extend(exprs[i].thetas.get(m, zero) for m in keys)
     return column_rows(list(columns), list(columns.values()))
 
 

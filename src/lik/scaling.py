@@ -116,15 +116,6 @@ def compute_weights(sys: DdeSystem) -> WeightVector | WeightFamily:
     return particular
 
 
-def equation_ranks(sys: DdeSystem, w: WeightVector) -> list[Fraction]:
-    """Rank of each equation; raises if any equation fails uniformity."""
-    out = [w[i] + 1 for i in range(sys.n)]
-    for name, f, target in zip(sys.names, sys.rhs, out):
-        if any(rank_of(m, w) != target for m in f.monomials()):
-            raise ScalingError(f"equation {name} is not uniform in rank")
-    return out
-
-
 def power_products(
     pool: Sequence[VarRef], w: WeightVector, bound: Fraction
 ) -> tuple[LatticeMonomial, ...]:

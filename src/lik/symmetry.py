@@ -28,7 +28,7 @@ from .linalg import (
     normalize_basis_vector,
     parametric_solve,
 )
-from .operators import DiffOperator, LocalOpTerm, OpEntry
+from .operators import DiffOperator, OpEntry
 from .params import ParamCoeff
 from .scaling import WeightVector, building_blocks, rank_of
 from .system import DdeSystem
@@ -39,9 +39,7 @@ def linearization_row(p: LatticePoly, n: int) -> tuple[OpEntry, ...]:
     sum_k (dp / d x_j[k]) D^k."""
     refs = p.var_refs()
     return tuple(
-        OpEntry(
-            [LocalOpTerm(partial(p, x), x.shift) for x in refs if x.comp == j]
-        )
+        OpEntry({x.shift: partial(p, x) for x in refs if x.comp == j})
         for j in range(n)
     )
 

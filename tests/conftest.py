@@ -70,6 +70,33 @@ def M(text: str) -> LatticeMonomial:
     return m
 
 
+# -- Frechet epsilon oracle ----------------------------------------------------
+
+
+def compose(p: LatticePoly, mapping) -> LatticePoly:
+    """Substitute whole polynomials for variables (missing variables map to
+    themselves)."""
+    out = LatticePoly.zero()
+    for m, c in p.terms():
+        piece = LatticePoly.const(c)
+        for x, e in m.pairs:
+            if x in mapping:
+                piece = piece * mapping[x] ** e
+            else:
+                piece = piece * LatticePoly.var(x.comp, x.shift, e)
+        out = out + piece
+    return out
+
+
+def param_coefficient(p: LatticePoly, name: str, power: int) -> LatticePoly:
+    """The coefficient of name**power across every term of p."""
+    return LatticePoly({m: c.coeff_of(name, power) for m, c in p.terms()})
+
+
+def substitute_params(p: LatticePoly, assignment) -> LatticePoly:
+    return LatticePoly({m: c.substitute(assignment) for m, c in p.terms()})
+
+
 # -- hypothesis strategies ---------------------------------------------------
 
 import hypothesis.strategies as st  # noqa: E402

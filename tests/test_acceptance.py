@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import M, P
+from conftest import M, P, compose, param_coefficient
 from lik.cli import main as cli_main
 from lik.conservation import (
     build_density_candidate,
@@ -24,7 +24,7 @@ from lik.expr import (
     dir_derivative,
     render_poly,
 )
-from lik.operators import LocalOpTerm, NonlocalOpTerm, OpEntry
+from lik.operators import OpEntry
 from lik.params import ParamCoeff
 from lik.recursion import rank_matrix, solve_recursion
 from lik.scaling import compute_weights
@@ -102,10 +102,8 @@ def test_criterion_3_candidate_fidelity(toda, toda_w, chain):
     for tag, op in zip(r0.unknowns, r0.basis):
         for i, row in enumerate(op.entries):
             for j, e in enumerate(row):
-                for t in e.locals:
-                    structure.append(
-                        (tag, i, j, render_poly(t.cof, toda.names), t.power)
-                    )
+                for a, c in sorted(e.locals.items()):
+                    structure.append((tag, i, j, render_poly(c, toda.names), a))
     assert structure == [
         ("c1", 0, 0, "u[0]", 0),
         ("c2", 0, 0, "u[1]", 0),
@@ -247,7 +245,7 @@ def test_criterion_8b_frechet_oracle():
                 + g[x.comp].shifted(x.shift) * eps
                 for x in fi.var_refs()
             }
-            oracle.append(fi.compose(mapping).param_coefficient("eps", 1))
+            oracle.append(param_coefficient(compose(fi, mapping), "eps", 1))
         assert [dir_derivative(fi, g) for fi in f] == oracle
     _passed(8, "b: Frechet first-order oracle, 200 random pairs")
 
@@ -278,22 +276,22 @@ def test_criterion_8c_conservation_up_to_rank_6(toda, toda_w, tmp_path):
 
 
 def _rand_entry(rng: random.Random) -> OpEntry:
-    loc = [
-        LocalOpTerm(_rand_poly(rng, laurent=False, max_terms=2), rng.randint(-2, 2))
-        for _ in range(rng.randint(0, 2))
-    ]
-    nl = []
+    out = OpEntry.zero()
+    for _ in range(rng.randint(0, 2)):
+        cof = _rand_poly(rng, laurent=False, max_terms=2)
+        out = out + OpEntry.local(cof, rng.randint(-2, 2))
     if rng.random() < 0.5:
         left = _rand_poly(rng, laurent=False, max_terms=2)
         right = _rand_poly(rng, laurent=True, max_terms=1)
         if not left.is_zero and not right.is_zero:
-            nl.append(NonlocalOpTerm(left, right, rng.randint(-1, 1)))
-    return OpEntry(loc, nl)
+            # left * (D-I)^-1 * right * D^power
+            power = OpEntry.shift(rng.randint(-1, 1))
+            out = out + OpEntry.sandwich(left, right).compose(power)
+    return out
 
 
 def _constant_theta_arg(x) -> bool:
-    const = LatticeMonomial.constant()
-    return any(not arg.coeff(const).is_zero for arg, _ in x.thetas)
+    return LatticeMonomial.constant() in x.thetas
 
 
 def test_criterion_8d_composition_probe():

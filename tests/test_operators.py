@@ -2,8 +2,8 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import assume, example, given, settings
 
-from conftest import P, UV, nonzero_polys, polys
-from lik.expr import LatticePoly
+from conftest import M, P, UV, nonzero_polys, polys
+from lik.expr import LatticeMonomial, LatticePoly
 from lik.operators import (
     DiffOperator,
     ExtendedExpr,
@@ -84,8 +84,8 @@ class TestApply:
     def test_nonlocal_formal_term(self):
         got = E("S").apply(P("u[0]"))
         assert not got.is_local
-        ((arg, cof),) = got.thetas
-        assert arg == P("u[0]") and cof == P("1")
+        ((arg, cof),) = got.thetas.items()
+        assert arg == M("u[0]") and cof == P("1")
 
     def test_theta_scale_merging(self):
         a = E("v[0]*S*(2*u[0]*I)").apply(P("u[0]"))
@@ -94,7 +94,7 @@ class TestApply:
 
     def test_shift_rewrite_of_theta(self):
         # D Theta(p) = Theta(p) + p
-        x = ExtendedExpr(LatticePoly.zero(), [(P("u[0]^2"), P("1"))])
+        x = ExtendedExpr(LatticePoly.zero(), {M("u[0]^2"): P("1")})
         y = x.shifted(1)
         assert y.thetas == x.thetas
         assert y.local == P("u[0]^2")
@@ -121,7 +121,9 @@ class TestFrechet:
         assert got == expected
 
 
-def entries():
+def raw_terms():
+    """Local terms (cof, power) and nonlocal terms (left, right, power),
+    the latter standing for left * (D-I)^-1 * right * D^power."""
     locals_ = st.lists(
         st.tuples(polys(max_terms=2, max_exp=2, laurent=False), st.integers(-2, 2)),
         min_size=0,
@@ -137,22 +139,26 @@ def entries():
         max_size=1,
     )
 
-    def build(loc, nl):
-        from lik.operators import LocalOpTerm, NonlocalOpTerm
+    return st.tuples(locals_, nonlocals_)
 
-        return OpEntry(
-            [LocalOpTerm(c, a) for c, a in loc],
-            [NonlocalOpTerm(b, c, p) for b, c, p in nl],
-        )
 
-    return st.builds(build, locals_, nonlocals_)
+def from_terms(loc, nl, reverse=False) -> OpEntry:
+    """The sum of the raw terms, added in the given order or reversed."""
+    terms = [OpEntry.local(c, a) for c, a in loc] + [
+        OpEntry.sandwich(b, c).compose(OpEntry.shift(p)) for b, c, p in nl
+    ]
+    out = OpEntry.zero()
+    for t in reversed(terms) if reverse else terms:
+        out = out + t
+    return out
+
+
+def entries():
+    return raw_terms().map(lambda terms: from_terms(*terms))
 
 
 def _has_constant_theta_arg(x: ExtendedExpr) -> bool:
-    from lik.expr import LatticeMonomial
-
-    const = LatticeMonomial.constant()
-    return any(not arg.coeff(const).is_zero for arg, _ in x.thetas)
+    return LatticeMonomial.constant() in x.thetas
 
 
 class TestCompositionSoundness:
@@ -205,3 +211,12 @@ class TestRendering:
 
     def test_zero(self):
         assert render_entry(OpEntry.zero(), UV) == "0"
+
+
+class TestNormalFormProperty:
+    @settings(max_examples=250)
+    @given(terms=raw_terms())
+    def test_round_trip_and_order_independence(self, terms):
+        e = from_terms(*terms)
+        assert parse_operator_entry(render_entry(e, UV), UV) == e
+        assert from_terms(*terms, reverse=True) == e

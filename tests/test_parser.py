@@ -96,7 +96,7 @@ R[2][2] = u[1]*I + v[0]*(u[1] - u[0])*S*(1/v[0])
             "R[1][1] = D^2 - 3*D^-2\nR[2][2] = I", toda.names
         )
         e = op.entries[0][0]
-        assert [(t.power, render_poly(t.cof, UV)) for t in e.locals] == [
+        assert [(a, render_poly(c, UV)) for a, c in sorted(e.locals.items())] == [
             (-2, "-3"),
             (2, "1"),
         ]

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import P
+from conftest import M, P
 from lik.expr import render_poly
 from lik.operators import render_operator
 from lik.parser import parse_operator_matrix
@@ -93,9 +93,9 @@ class TestLocalCandidate:
             op = cand.basis[cand.unknowns.index(tag)]
             entry = op.entries[i][j]
             assert len(entry.locals) == 1 and not entry.nonlocals
-            t = entry.locals[0]
-            assert render_poly(t.cof, toda.names) == cof
-            assert t.power == power
+            ((a, c),) = entry.locals.items()
+            assert render_poly(c, toda.names) == cof
+            assert a == power
 
     def test_rank_discipline(self, toda, toda_w, toda_chain):
         rm = rank_matrix(toda_chain[0], toda_chain[1])
@@ -103,8 +103,8 @@ class TestLocalCandidate:
         for op in cand.basis:
             for i, row in enumerate(op.entries):
                 for j, e in enumerate(row):
-                    for t in e.locals:
-                        for m in t.cof.monomials():
+                    for c in e.locals.values():
+                        for m in c.monomials():
                             assert rank_of(m, toda_w) == rm[i][j]
 
 
@@ -117,18 +117,18 @@ class TestCovariants:
     def test_log_covariant_row(self, toda):
         (row,) = log_density_rows(toda)
         assert row[0].is_zero
-        ((t,),) = [row[1].locals]
-        assert t.power == 0 and t.cof == P("1/v[0]")
+        ((a, c),) = row[1].locals.items()
+        assert a == 0 and c == P("1/v[0]")
 
     def test_linear_density_row(self):
         row = linearization_row(P("u[0]"), 2)
-        assert render_poly(row[0].locals[0].cof, ("u", "v")) == "1"
+        assert render_poly(row[0].locals[0], ("u", "v")) == "1"
         assert row[1].is_zero
 
     def test_quadratic_density_row(self):
         row = linearization_row(P("(1/2)*u[0]^2 + v[0]"), 2)
-        assert row[0].locals[0].cof == P("u[0]")
-        assert row[1].locals[0].cof == P("1")
+        assert row[0].locals[0] == P("u[0]")
+        assert row[1].locals[0] == P("1")
 
     def test_default_pool_for_toda(self, toda, toda_w, toda_chain):
         rm = rank_matrix(toda_chain[0], toda_chain[1])
@@ -147,11 +147,11 @@ class TestNonlocalCandidate:
         (op,) = cand.basis
         # column 1 empty, column 2 sandwiches oriented like the rhs
         assert op.entries[0][0].is_zero and op.entries[1][0].is_zero
-        nl = op.entries[0][1].nonlocals[0]
-        assert nl.left == P("v[-1] - v[0]")
-        assert nl.right == P("1/v[0]") and nl.power == 0
-        nl2 = op.entries[1][1].nonlocals[0]
-        assert nl2.left == P("u[0]*v[0] - u[1]*v[0]")
+        ((right, left),) = op.entries[0][1].nonlocals.items()
+        assert left == P("v[-1] - v[0]")
+        assert right == M("1/v[0]")
+        ((_, left2),) = op.entries[1][1].nonlocals.items()
+        assert left2 == P("u[0]*v[0] - u[1]*v[0]")
 
     def test_higher_density_pair_excluded_by_rank(self, toda, toda_w, toda_chain):
         rm = rank_matrix(toda_chain[0], toda_chain[1])
