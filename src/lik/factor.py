@@ -15,14 +15,17 @@ or pivot test, so parameter-free runs never load it.  A pivot test asks
 whether a pivot is a unit times a product of the branch's nonzero
 conditions; repeated exact division answers that without factoring.
 
-Integer polynomials are dicts {exponent tuple: int} with one exponent per
-parameter of a fixed name tuple and no zero coefficients; univariate
-polynomials modulo m are coefficient lists, lowest degree first, without
-trailing zeros.
+Integer polynomials, univariate ones too, are dicts {exponent tuple: int}
+with one exponent per parameter of a fixed name tuple and no zero
+coefficients; coefficient lists, lowest degree first, without trailing
+zeros, are only residues mod p and p^k.  One recombination step, trial
+division by the candidates that subsets of an image's factors decode to,
+serves both Zassenhaus and Kronecker.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -98,7 +101,7 @@ def _factor(f: IPoly) -> list[IPoly]:
     f = _divexact(f, _gcd(f, _diff(f, live[0])))
     if any(_degree(f, i) == 1 for i in live) or _irreducible_image(f, live):
         return [f]
-    return _kronecker(f, live)
+    return _kronecker(f)
 
 
 def _is_const(f: IPoly) -> bool:
@@ -235,32 +238,40 @@ def _irreducible_image(f: IPoly, live: list[int]) -> bool:
     return False
 
 
-def _kronecker(f: IPoly, live: list[int]) -> list[IPoly]:
+def _kronecker(f: IPoly) -> list[IPoly]:
     """Irreducible factors of f, primitive and square-free in every
     parameter, by Kronecker substitution: parameter i becomes t^w_i with
     mixed-radix weights w over the bounds deg_i f + 1, which no factor of f
-    exceeds, so a factor's image decodes back to it.  Products of subsets
-    of the image's irreducible factors, smallest subsets first, are decoded
-    and kept when they divide f."""
+    exceeds, so a factor's image decodes back to it.  The candidates are
+    decoded products of the image's irreducible factors."""
     radix = [_degree(f, i) + 1 for i in range(len(next(iter(f))))]
     weights = [math.prod(radix[:i]) for i in range(len(radix))]
     image = {(sum(a * w for a, w in zip(e, weights)),): c for e, c in f.items()}
+    places = list(zip(weights, radix))
+
+    def decode(subset: list[IPoly]) -> IPoly:
+        prod = functools.reduce(_mul, subset).items()
+        return _normal({tuple(k // w % r for w, r in places): c for (k,), c in prod})
+
     pieces = [g for g, k in _univariate_factors(image) for _ in range(k)]
+    return _recombine(f, pieces, decode)
+
+
+def _recombine(f: IPoly, pieces: list, candidate) -> list[IPoly]:
+    """Irreducible factors of f from the irreducible factors (pieces) of an
+    image of f: for subsets of the pieces, smallest first, the candidate
+    that the subset decodes to is a factor if it divides f.  A candidate
+    whose value at some (k, ..., k), k = 0, 1, -1, 2, does not divide f's
+    is skipped without dividing."""
     found: list[IPoly] = []
     size = 1
     while 2 * size <= len(pieces):
+        at_f = _at_points(f)
         for subset in itertools.combinations(range(len(pieces)), size):
-            prod: IPoly = {(0,): 1}
-            for j in subset:
-                prod = _mul(prod, pieces[j])
-            g = _normal(
-                {
-                    tuple(k // w % r for w, r in zip(weights, radix)): c
-                    for (k,), c in prod.items()
-                }
-            )
-            q = _divexact(f, g)
-            if q is not None:
+            g = candidate([pieces[j] for j in subset])
+            if any(fk % gk if gk else fk for fk, gk in zip(at_f, _at_points(g))):
+                continue
+            if (q := _divexact(f, g)) is not None:
                 found.append(g)
                 f = q
                 pieces = [p for j, p in enumerate(pieces) if j not in subset]
@@ -268,6 +279,11 @@ def _kronecker(f: IPoly, live: list[int]) -> list[IPoly]:
         else:
             size += 1
     return found + [_normal(f)]
+
+
+def _at_points(f: IPoly) -> list[int]:
+    """The values of f at (k, ..., k) for k = 0, 1, -1 and 2."""
+    return [sum(c * k ** sum(e) for e, c in f.items()) for k in (0, 1, -1, 2)]
 
 
 # -- univariate factorization over Z ----------------------------------------
@@ -281,8 +297,7 @@ def _univariate_factors(f: IPoly) -> list[tuple[IPoly, int]]:
     out = [({(1,): 1}, low)] if low else []
     f = {(e - low,): c for (e,), c in f.items()}
     for g, k in _square_free(f):
-        dense = [g.get((e,), 0) for e in range(_degree(g, 0) + 1)]
-        out += [({(e,): c for e, c in enumerate(h) if c}, k) for h in _zassenhaus(dense)]
+        out += [(h, k) for h in _zassenhaus(g)]
     return out
 
 
@@ -309,20 +324,20 @@ def _odd_primes() -> Iterator[int]:
             yield q
 
 
-def _zassenhaus(f: list[int]) -> list[list[int]]:
+def _zassenhaus(f: IPoly) -> list[IPoly]:
     """Irreducible factors of a primitive square-free f in Z[x] with
-    f(0) != 0: factor modulo the best of up to three primes p that keep f
-    square-free, Hensel-lift past twice the Landau-Mignotte bound, then
-    recombine by trial division."""
-    n = len(f) - 1
-    if n == 1:
-        return [f]
+    f(0) != 0 and a positive leading coefficient: factor modulo the best of
+    up to three primes p that keep f square-free, Hensel-lift past twice
+    the Landau-Mignotte bound m, then recombine: a subset's candidate is
+    lc(f) times its product in symmetric residues mod m, made primitive."""
+    n = _degree(f, 0)
+    dense = [f.get((e,), 0) for e in range(n + 1)]
     best = None
     tried = 0
     for p in _odd_primes():
-        if f[-1] % p == 0:
+        if dense[-1] % p == 0:
             continue
-        fp = _monic(f, p)
+        fp = _monic(dense, p)
         if len(_gcd_mod(fp, _mod([k * c for k, c in enumerate(fp)][1:], p), p)) > 1:
             continue
         ddf = _distinct_degree(fp, p)
@@ -337,34 +352,19 @@ def _zassenhaus(f: list[int]) -> list[list[int]]:
         return [f]
     rng = random.Random(p)
     modular = [h for d, g in ddf for h in _equal_degree(g, d, p, rng)]
-    bound = 2 * (math.isqrt(sum(c * c for c in f)) + 1) * 2**n * abs(f[-1])
+    bound = 2 * (math.isqrt(sum(c * c for c in dense)) + 1) * 2**n * abs(dense[-1])
     m = p
     while m <= bound:
         m *= p
-    return _recombine(f, _hensel(f, modular, p, m), m)
 
+    def from_lifted(subset: list[list[int]]) -> IPoly:
+        g = [dense[-1]]
+        for h in subset:
+            g = _mod(_mul_dense(g, h), m)
+        g = {(e,): c - m if 2 * c > m else c for e, c in enumerate(g) if c}
+        return _normal(_primitive(g, 0))
 
-def _recombine(f: list[int], lifted: list[list[int]], m: int) -> list[list[int]]:
-    """Products of subsets of the lifted factors times lc(f), in symmetric
-    residues mod m, smallest subsets first; a product whose primitive part
-    divides f is an irreducible factor."""
-    found = []
-    size = 1
-    while 2 * size <= len(lifted):
-        for subset in itertools.combinations(range(len(lifted)), size):
-            g = [f[-1]]
-            for j in subset:
-                g = _mod(_mul_dense(g, lifted[j]), m)
-            g = _primitive_dense([c - m if 2 * c > m else c for c in g])
-            q = _divexact_dense(f, g)
-            if q is not None:
-                found.append(g)
-                f = q
-                lifted = [h for j, h in enumerate(lifted) if j not in subset]
-                break
-        else:
-            size += 1
-    return found + [_primitive_dense(f)]
+    return _recombine(f, _hensel(dense, modular, p, m), from_lifted)
 
 
 def _hensel(f: list[int], factors: list[list[int]], p: int, m: int) -> list[list[int]]:
@@ -514,39 +514,4 @@ def _powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
             out = _divmod_mod(_mul_dense(out, a), f, p)[1]
         a = _divmod_mod(_mul_dense(a, a), f, p)[1]
         e >>= 1
-    return out
-
-
-def _primitive_dense(a: list[int]) -> list[int]:
-    c = math.gcd(*a)
-    return [x // c for x in a] if a[-1] > 0 else [-x // c for x in a]
-
-
-def _divexact_dense(f: list[int], g: list[int]) -> list[int] | None:
-    """f / g if g divides f in Z[x], else None.  The values at 0, 1 and -1
-    are checked first: g(k) divides f(k) when g divides f."""
-    dg = len(g) - 1
-    if len(f) <= dg:
-        return None
-    for k in (0, 1, -1):
-        fk, gk = _value(f, k), _value(g, k)
-        if fk % gk if gk else fk:
-            return None
-    f = list(f)
-    q = [0] * (len(f) - dg)
-    for i in range(len(q) - 1, -1, -1):
-        c, rem = divmod(f[i + dg], g[-1])
-        if rem:
-            return None
-        q[i] = c
-        if c:
-            for j, y in enumerate(g):
-                f[i + j] -= c * y
-    return None if any(f[:dg]) else q
-
-
-def _value(a: list[int], k: int) -> int:
-    out = 0
-    for c in reversed(a):
-        out = out * k + c
     return out

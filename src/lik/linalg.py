@@ -41,7 +41,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
-from .expr import LatticeMonomial, LatticePoly, term_key
+from .expr import LatticeMonomial, LatticePoly, accumulate, term_key
 from .params import ParamCoeff
 
 # A sparse row: column index -> nonzero entry.
@@ -530,12 +530,9 @@ class _ParametricSolver:
 def _cross(a: ParamCoeff, row: Row, b: ParamCoeff, other: Row) -> Row:
     """a*row - b*other with zero entries dropped."""
     out = {j: a * c for j, c in row.items()}
+    nb = -b
     for j, c in other.items():
-        v = out[j] - b * c if j in out else -(b * c)
-        if v.is_zero:
-            del out[j]
-        else:
-            out[j] = v
+        accumulate(out, j, nb * c)
     return out
 
 

@@ -260,28 +260,15 @@ def generation_step(
     return polys, all(x.is_zero for x in symmetry_residual(polys, sys))
 
 
-class RecursionOutcome:
-    """What recursion_pipeline found; filled in as the pipeline goes."""
+class RecursionOutcome(NamedTuple):
+    """What recursion_pipeline found, built once where the pipeline ends."""
 
-    __slots__ = (
-        "operator", "coefficients", "generated", "checks", "failure_family", "message"
-    )
-
-    def __init__(
-        self,
-        operator: DiffOperator | None,
-        coefficients: dict[str, Fraction] | None = None,
-        generated: list[tuple[int, tuple[LatticePoly, ...]]] | None = None,
-        checks: list[str] | None = None,
-        failure_family: str | None = None,
-        message: str = "",
-    ):
-        self.operator = operator
-        self.coefficients = {} if coefficients is None else coefficients
-        self.generated = [] if generated is None else generated
-        self.checks = [] if checks is None else checks
-        self.failure_family = failure_family
-        self.message = message
+    operator: DiffOperator | None
+    coefficients: dict[str, Fraction]
+    generated: tuple[tuple[int, tuple[LatticePoly, ...]], ...] = ()
+    checks: tuple[str, ...] = ()
+    failure_family: str | None = None
+    message: str = ""
 
     @property
     def ok(self) -> bool:
@@ -290,13 +277,6 @@ class RecursionOutcome:
 
 class _NoOperator(Exception):
     """Raised with (failure family, message) where a failure is found."""
-
-    def outcome(self, out: RecursionOutcome | None = None) -> RecursionOutcome:
-        """The failed outcome; out keeps what was computed before."""
-        out = out or RecursionOutcome(None)
-        out.operator = None
-        out.failure_family, out.message = self.args
-        return out
 
 
 def _constraint_rows(
@@ -337,7 +317,7 @@ def solve_recursion(
     try:
         coeffs, operator, fp = _determine(sys, w, symmetries, gap, max_depth)
     except _NoOperator as exc:
-        return exc.outcome()
+        return RecursionOutcome(None, {}, (), (), *exc.args)
     return _verify(sys, operator, coeffs, symmetries, fp, gap)
 
 
@@ -435,7 +415,8 @@ def _verify(
     """Probe the identity on every supplied symmetry, then generate from
     the first one: R G(1) must be G(1 + gap), and two levels beyond the
     supplied chain must come out local symmetries."""
-    out = RecursionOutcome(operator, coeffs)
+    checks: list[str] = []
+    generated: list[tuple[int, tuple[LatticePoly, ...]]] = []
     residual_op = identity_residual(operator, sys, fp)
     try:
         for k, g in enumerate(symmetries, start=1):
@@ -445,7 +426,7 @@ def _verify(
                     f"defining-identity residual applied to symmetry {k} is "
                     "nonzero",
                 )
-            out.checks.append(f"commutator residual on G({k}): zero")
+            checks.append(f"commutator residual on G({k}): zero")
 
         current = symmetries[0].components
         for level in range(1 + gap, len(symmetries) + 2 * gap + 1, gap):
@@ -461,10 +442,8 @@ def _verify(
                     "verification:symmetry-identity",
                     f"generated level {level} fails the symmetry identity",
                 )
-            if out.generated:
-                out.checks.append(
-                    f"generated G({level}): local, symmetry identity holds"
-                )
+            if generated:
+                checks.append(f"generated G({level}): local, symmetry identity holds")
             elif tuple(polys) != symmetries[gap].components:
                 raise _NoOperator(
                     "verification:generation",
@@ -472,12 +451,14 @@ def _verify(
                     "reproduce the next supplied symmetry",
                 )
             else:
-                out.checks.append(f"R G(1) = G({1 + gap}) exactly")
-            out.generated.append((level, tuple(polys)))
+                checks.append(f"R G(1) = G({1 + gap}) exactly")
+            generated.append((level, tuple(polys)))
             current = polys
     except _NoOperator as exc:
-        return exc.outcome(out)
-    return out
+        return RecursionOutcome(
+            None, coeffs, tuple(generated), tuple(checks), *exc.args
+        )
+    return RecursionOutcome(operator, coeffs, tuple(generated), tuple(checks))
 
 
 def recursion_pipeline(
@@ -520,6 +501,6 @@ def recursion_pipeline(
                     f"{len(unconditional)} independent solutions",
                 )
     except _NoOperator as exc:
-        return exc.outcome(), found
+        return RecursionOutcome(None, {}, (), (), *exc.args), found
     outcome = solve_recursion(sys, w, found, gap=gap, max_depth=max_depth)
     return outcome, found

@@ -121,8 +121,14 @@ class TestPinned:
             ((a + b) * (a - b + 1), ["a + b", "a - b + 1"]),
             ((a**2 + b) * (b**2 + a), ["a^2 + b", "b^2 + a"]),
             (a**4 + b**4, ["a^4 + b^4"]),
+            # 15 image factors; three subsets accepted, so the pieces shrink twice
+            (a**6 - b**6,
+             ["a + b", "a - b", "a^2 + a*b + b^2", "a^2 - a*b + b^2"]),
         ],
-        ids=["content", "monomial", "linear", "kronecker", "kronecker-2", "a^4+b^4"],
+        ids=[
+            "content", "monomial", "linear", "kronecker", "kronecker-2", "a^4+b^4",
+            "a^6-b^6",
+        ],
     )
     def test_two_parameters(self, pc, expected):
         assert [f.render() for f in _factor_irreducible(pc)] == expected

@@ -8,6 +8,7 @@ from lik.operators import render_operator
 from lik.parser import parse_operator_matrix
 from lik.recursion import (
     RecursionOutcome,
+    _verify,
     build_r0,
     build_r1,
     default_covariants,
@@ -20,6 +21,7 @@ from lik.scaling import rank_of
 from lik.symmetry import (
     SymmetryResult,
     build_symmetry_candidate,
+    frechet_operator,
     linearization_row,
     solve_symmetry,
     symmetry_residual,
@@ -200,15 +202,28 @@ class TestSolve:
         assert parse_operator_matrix(text, toda.names) == out.operator
 
 
-class TestPipeline:
-    def test_outcomes_share_no_list(self):
-        a, b = RecursionOutcome(None), RecursionOutcome(None)
-        a.checks.append("x")
-        a.generated.append((1, ()))
-        a.coefficients["c1"] = Fraction(1)
-        assert (b.checks, b.generated, b.coefficients) == ([], [], {})
-        assert (b.failure_family, b.message) == (None, "")
+    def test_verify_failure_keeps_checks_and_coefficients(
+        self, toda, toda_w, toda_chain
+    ):
+        # twice the operator passes every identity probe, which is linear in
+        # R, but maps G(1) to 2 G(2)
+        found = solve_recursion(toda, toda_w, toda_chain)
+        fp = frechet_operator(toda.rhs)
+        out = _verify(toda, found.operator.scale(2), found.coefficients, toda_chain, fp, 1)
+        assert len(found.coefficients) == 17
+        assert out == RecursionOutcome(
+            None,
+            found.coefficients,
+            (),
+            tuple(f"commutator residual on G({k}): zero" for k in (1, 2, 3)),
+            "verification:generation",
+            "operator applied to the first symmetry does not reproduce the "
+            "next supplied symmetry",
+        )
+        assert not out.ok
 
+
+class TestPipeline:
     def test_toda(self, toda, toda_w):
         outcome, symmetries = recursion_pipeline(toda, toda_w, levels=3)
         assert outcome.ok
