@@ -72,9 +72,9 @@ def _pure_power_normalization(
     """Scale so the first pure-power block x^k has coefficient 1/k, else the
     leading block has coefficient 1."""
     powers = {
-        tag: m.pairs[0][1]
+        tag: m.flat[2]
         for tag, m in zip(cand.unknowns, cand.blocks)
-        if len(m.pairs) == 1 and m.pairs[0][0].shift == 0
+        if len(m.flat) == 3 and m.flat[1] == 0
     }
     scaled = normalize_basis_vector(
         vec, ((tag, Fraction(1, k)) for tag, k in powers.items())

@@ -30,92 +30,114 @@ class VarRef(NamedTuple):
 
 
 class LatticeMonomial:
-    """Product of shifted variables with nonzero integer exponents.
+    """Product of shifted variables with nonzero integer exponents, stored
+    as one tuple ``flat`` = (comp, shift, exp, comp, shift, exp, ...) in
+    ascending (comp, shift) order; hash and equality are the tuple's.  The
+    empty product is the constant monomial 1."""
 
-    The empty product is the constant monomial 1.
-    """
+    __slots__ = ("flat", "_hash")
 
-    __slots__ = ("_vars", "_hash")
-
-    def __init__(self, pairs: Iterable[tuple[VarRef, int]] = ()):
-        acc: dict[VarRef, int] = {}
+    def __init__(self, pairs: Iterable[tuple[tuple[int, int], int]] = ()):
+        acc: dict[tuple[int, int], int] = {}
         for x, e in pairs:
             acc[x] = acc.get(x, 0) + e
-        self._vars = tuple(sorted((x, e) for x, e in acc.items() if e != 0))
-        self._hash = hash(self._vars)
+        self.flat = tuple(
+            v for (c, s), e in sorted(acc.items()) if e for v in (c, s, e)
+        )
+        self._hash = hash(self.flat)
 
     @classmethod
-    def _of(cls, pairs: tuple[tuple[VarRef, int], ...]) -> "LatticeMonomial":
-        """Wrap pairs that are already sorted, merged and nonzero."""
+    def _of(cls, flat: tuple[int, ...]) -> "LatticeMonomial":
+        """Wrap a flat tuple that is already sorted, merged and nonzero."""
         out = object.__new__(cls)
-        out._vars = pairs
-        out._hash = hash(pairs)
+        out.flat = flat
+        out._hash = hash(flat)
         return out
 
     @classmethod
     def constant(cls) -> "LatticeMonomial":
-        return cls(())
+        return cls._of(())
 
     @classmethod
     def var(cls, comp: int, shift: int = 0, exp: int = 1) -> "LatticeMonomial":
-        return cls(((VarRef(comp, shift), exp),))
+        return cls._of((comp, shift, exp) if exp else ())
 
     # -- inspection ------------------------------------------------------
 
-    @property
-    def pairs(self) -> tuple[tuple[VarRef, int], ...]:
-        return self._vars
+    def triples(self) -> Iterable[tuple[int, int, int]]:
+        """The (comp, shift, exp) factors in (comp, shift) order."""
+        f = self.flat
+        return zip(f[0::3], f[1::3], f[2::3])
 
     @property
     def is_constant(self) -> bool:
-        return not self._vars
+        return not self.flat
 
     def degree(self) -> int:
-        return sum(e for _, e in self._vars)
+        return sum(self.flat[2::3])
 
     def exponent(self, x: VarRef) -> int:
-        for y, e in self._vars:
-            if y == x:
-                return e
-        return 0
-
-    def var_refs(self) -> tuple[VarRef, ...]:
-        return tuple(x for x, _ in self._vars)
+        return next((e for c, s, e in self.triples() if (c, s) == x), 0)
 
     # -- algebra ---------------------------------------------------------
 
     def __mul__(self, other: "LatticeMonomial") -> "LatticeMonomial":
-        return LatticeMonomial(self._vars + other._vars)
+        # merge the two sorted factor lists, adding equal variables' exponents
+        a, b = self.flat, other.flat
+        if not (a and b):
+            return self if a else other
+        out: list[int] = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            ka, kb = a[i : i + 2], b[j : j + 2]
+            if ka < kb:
+                out += a[i : i + 3]
+                i += 3
+            elif kb < ka:
+                out += b[j : j + 3]
+                j += 3
+            else:
+                e = a[i + 2] + b[j + 2]
+                if e:
+                    out += (*ka, e)
+                i += 3
+                j += 3
+        out.extend(a[i:] + b[j:])  # one of the two is empty
+        return LatticeMonomial._of(tuple(out))
 
     def __pow__(self, k: int) -> "LatticeMonomial":
         if k == 0:
             return LatticeMonomial.constant()
-        return LatticeMonomial._of(tuple((x, e * k) for x, e in self._vars))
+        out = list(self.flat)
+        out[2::3] = [e * k for e in out[2::3]]
+        return LatticeMonomial._of(tuple(out))
 
     def shifted(self, r: int) -> "LatticeMonomial":
-        # a common shift keeps the (component, shift) order of the pairs
+        # a common shift keeps the (component, shift) order of the factors
         if r == 0:
             return self
-        return LatticeMonomial._of(
-            tuple((VarRef(x.comp, x.shift + r), e) for x, e in self._vars)
-        )
+        out = list(self.flat)
+        out[1::3] = [s + r for s in out[1::3]]
+        return LatticeMonomial._of(tuple(out))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LatticeMonomial):
             return NotImplemented
-        return self._vars == other._vars
+        return self.flat == other.flat
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"LatticeMonomial({self._vars!r})"
+        return f"LatticeMonomial({self.flat!r})"
 
 
 def term_key(m: LatticeMonomial):
     """Deterministic total term order: total degree descending, then the
-    variable sequence by (component, shift, exponent descending)."""
-    return (-m.degree(), tuple((x.comp, x.shift, -e) for x, e in m.pairs))
+    factors by (component, shift, exponent descending)."""
+    key = list(m.flat)
+    key[2::3] = [-e for e in key[2::3]]
+    return (-m.degree(), tuple(key))
 
 
 class LatticePoly:
@@ -183,10 +205,7 @@ class LatticePoly:
         return m, self._terms[m]
 
     def var_refs(self) -> list[VarRef]:
-        seen: set[VarRef] = set()
-        for m in self._terms:
-            seen.update(m.var_refs())
-        return sorted(seen)
+        return sorted({VarRef(c, s) for m in self._terms for c, s, _ in m.triples()})
 
     def parameters(self) -> set[str]:
         out: set[str] = set()
@@ -195,7 +214,7 @@ class LatticePoly:
         return out
 
     def has_negative_exponent(self) -> bool:
-        return any(e < 0 for m in self._terms for _, e in m.pairs)
+        return any(e < 0 for m in self._terms for e in m.flat[2::3])
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -298,15 +317,17 @@ def accumulate(acc: dict, key, c) -> None:
 
 def partial(p: LatticePoly, x: VarRef) -> LatticePoly:
     """Formal partial derivative with the Laurent power rule."""
+    comp, shift = x
     acc: dict[LatticeMonomial, ParamCoeff] = {}
     for m, c in p._terms.items():
-        e = m.exponent(x)
-        if e == 0:
-            continue
-        rest = LatticeMonomial._of(
-            tuple((y, f - 1 if y == x else f) for y, f in m.pairs if y != x or f != 1)
-        )
-        accumulate(acc, rest, c.scale(e))
+        f = m.flat
+        for k in range(0, len(f), 3):
+            if f[k] == comp and f[k + 1] == shift:
+                e = f[k + 2]
+                rest = f[: k + 2] + (e - 1,) if e != 1 else f[:k]
+                rest += f[k + 3 :]
+                accumulate(acc, LatticeMonomial._of(rest), c.scale(e))
+                break
     return LatticePoly._of(acc)
 
 
@@ -349,8 +370,8 @@ def canonical_offset(m: LatticeMonomial) -> int:
     The canonical representative places the lowest-indexed component present
     at zero shift (its minimal occurrence).
     """
-    # the pairs are sorted by (component, shift): the first one is it
-    return m.pairs[0][0].shift if m.pairs else 0
+    # the factors are sorted by (component, shift): the first one is it
+    return m.flat[1] if m.flat else 0
 
 
 def canonical_rep(m: LatticeMonomial) -> LatticeMonomial:
@@ -394,8 +415,8 @@ def render_monomial(m: LatticeMonomial, names: Sequence[str]) -> str:
     if m.is_constant:
         return "1"
     factors = []
-    for x, e in m.pairs:
-        base = f"{names[x.comp]}[{x.shift}]"
+    for c, s, e in m.triples():
+        base = f"{names[c]}[{s}]"
         factors.append(base if e == 1 else f"{base}^{e}")
     return "*".join(factors)
 

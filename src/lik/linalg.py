@@ -2,10 +2,11 @@
 
 Systems are homogeneous with entries polynomial in declared parameters.
 They are assembled column by column: each unknown contributes the
-polynomial slots of the defining identity it multiplies, and every
-monomial of a slot gives one row.  LinearSystem.rows is the dense form,
-one entry per unknown, only at this boundary; the solver turns it into
-sparse {column: entry} rows and works on those throughout.  One solver,
+polynomial slots of the defining identity it multiplies, each slot named
+by a sortable key, and every monomial of a slot gives one row.  A
+LinearSystem is in compressed sparse row form, each row's nonzero entries
+and their unknown indices; the solver reads it as sparse {column: entry}
+rows, one at a time where it can, and works on those throughout.  One solver,
 parametric_solve, handles every system; a parameter-free one comes back
 as a single unconditional branch.
 
@@ -39,7 +40,7 @@ import functools
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .expr import LatticeMonomial, LatticePoly, accumulate, term_key
 from .params import ParamCoeff
@@ -56,11 +57,13 @@ class LinearSolveError(ValueError):
 
 
 class LinearSystem(NamedTuple):
-    """Homogeneous system: ordered unknown tags and dense rows, one
-    coefficient per unknown."""
+    """Homogeneous system in compressed sparse row form: rows[k] holds the
+    nonzero coefficients of row k and columns[k] their unknown indices, in
+    ascending order.  No row is empty."""
 
     unknowns: tuple[str, ...]
     rows: tuple[tuple[ParamCoeff, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
 
     @classmethod
     def build(
@@ -68,18 +71,17 @@ class LinearSystem(NamedTuple):
         unknowns: Sequence[str],
         sparse_rows: Iterable[dict[str, ParamCoeff]],
     ) -> "LinearSystem":
-        """Place each row's entries in unknown order; rows without a nonzero
-        entry are dropped.  Normalization is the solver's."""
+        """Order each row's nonzero entries by unknown; rows without one are
+        dropped.  Normalization is the solver's."""
         index = {t: i for i, t in enumerate(unknowns)}
-        zero = ParamCoeff.zero()
-        dense: list[tuple[ParamCoeff, ...]] = []
+        rows, columns = [], []
         for row in sparse_rows:
-            if any(not c.is_zero for c in row.values()):
-                vec = [zero] * len(unknowns)
-                for t, c in row.items():
-                    vec[index[t]] = c
-                dense.append(tuple(vec))
-        return cls(tuple(unknowns), tuple(dense))
+            entries = sorted((index[t], c) for t, c in row.items() if not c.is_zero)
+            if entries:
+                cols, coeffs = zip(*entries)
+                rows.append(coeffs)
+                columns.append(cols)
+        return cls(tuple(unknowns), tuple(rows), tuple(columns))
 
     @classmethod
     def from_columns(
@@ -87,8 +89,14 @@ class LinearSystem(NamedTuple):
         unknowns: Sequence[str],
         columns: Sequence[Sequence[LatticePoly]],
     ) -> "LinearSystem":
-        """The system whose rows column_rows emits."""
-        return cls.build(unknowns, column_rows(unknowns, columns))
+        """The system column_rows makes of equally long columns of slots."""
+        if len({len(column) for column in columns}) > 1:
+            raise ValueError("columns differ in their number of slots")
+        return cls.build(unknowns, column_rows(unknowns, map(enumerate, columns)))
+
+    def matrix(self) -> Iterable[Row]:
+        """The rows as {column: entry} maps, made one at a time."""
+        return map(dict, map(zip, self.columns, self.rows))
 
 
 class SolveOutcome(NamedTuple):
@@ -119,26 +127,26 @@ class Branch(NamedTuple):
 
 
 def column_rows(
-    unknowns: Sequence[str], columns: Sequence[Sequence[LatticePoly]]
+    unknowns: Iterable[str],
+    columns: Iterable[Iterable[tuple[Hashable, LatticePoly]]],
 ) -> list[dict[str, ParamCoeff]]:
-    """Sparse rows from per-unknown columns: columns[k][s] is the polynomial
-    that unknown k contributes to slot s of the defining identity.
-
-    Every monomial of a slot gives one row; slots are taken in order,
-    monomials within a slot in term_key order, sorted once per slot.
+    """Sparse rows from per-unknown columns, each a stream of (slot key,
+    polynomial the unknown contributes to that slot of the defining
+    identity).  A column is scattered into its slots' rows as it is read,
+    so it may be made just before and dropped after.  Every monomial of a
+    slot gives one row; slots go in key order, monomials in term_key order.
     """
-    sparse: list[dict[str, ParamCoeff]] = []
-    for slot in zip(*columns, strict=True):
-        rows: dict[LatticeMonomial, dict[str, ParamCoeff]] = {}
-        for tag, p in zip(unknowns, slot):
+    slots: dict[Hashable, dict[LatticeMonomial, dict[str, ParamCoeff]]] = {}
+    for tag, column in zip(unknowns, columns):
+        for key, p in column:
+            rows = slots.setdefault(key, {})
             for m, c in p.terms():
                 rows.setdefault(m, {})[tag] = c
-        sparse.extend(rows[m] for m in sorted(rows, key=term_key))
-    return sparse
-
-
-def _sparse(rows: Iterable[Sequence[ParamCoeff]]) -> list[Row]:
-    return [{j: c for j, c in enumerate(row) if not c.is_zero} for row in rows]
+    out: list[dict[str, ParamCoeff]] = []
+    for key in sorted(slots):
+        rows = slots.pop(key)
+        out.extend(rows[m] for m in sorted(rows, key=term_key))
+    return out
 
 
 def _is_rational(matrix: Iterable[Row]) -> bool:
@@ -181,19 +189,6 @@ def _normalized_rows(matrix: Iterable[Row]) -> list[Row]:
                 seen.add(key)
                 out.append(row)
     return out
-
-
-def _prepared(matrix: list[Row]) -> tuple[list[Row], bool]:
-    """The matrix as elimination takes it, and whether it is all rational.
-
-    A rational matrix goes to the kernel as it is: duplicate and scaled
-    rows do not change its RREF.  Any other is normalized, which may make
-    it rational.
-    """
-    if _is_rational(matrix):
-        return matrix, True
-    matrix = _normalized_rows(matrix)
-    return matrix, _is_rational(matrix)
 
 
 def _normalize_factor(pc: ParamCoeff) -> ParamCoeff:
@@ -351,7 +346,12 @@ class _ParametricSolver:
         if pending:
             self._resolve_pending(matrix, subs, neqs, pending, depth)
             return
-        matrix, rational = _prepared(matrix)
+        # a rational matrix goes to the kernel as it is, as duplicate and
+        # scaled rows do not change its RREF; normalizing may make one so
+        rational = _is_rational(matrix)
+        if not rational:
+            matrix = _normalized_rows(matrix)
+            rational = _is_rational(matrix)
         if rational:
             self.results.append(
                 Branch(
@@ -539,11 +539,13 @@ def _cross(a: ParamCoeff, row: Row, b: ParamCoeff, other: Row) -> Row:
 def nullspace(system: LinearSystem) -> SolveOutcome:
     """Nullspace basis of a system that is rational once its rows are
     normalized."""
-    rows, rational = _prepared(_sparse(system.rows))
-    if not rational:
-        raise LinearSolveError(
-            "nullspace requires rational entries; use parametric_solve"
-        )
+    rows = system.matrix()
+    if not all(c.is_rational for row in system.rows for c in row):
+        rows = _normalized_rows(rows)
+        if not _is_rational(rows):
+            raise LinearSolveError(
+                "nullspace requires rational entries; use parametric_solve"
+            )
     return _rational_nullspace(system.unknowns, rows)
 
 
@@ -558,7 +560,7 @@ def parametric_solve(
     unresolvable branches are reported with outcome None, never silently.
     """
     solver = _ParametricSolver(system.unknowns)
-    solver.solve(_sparse(system.rows), {}, (), [], max_depth)
+    solver.solve(list(system.matrix()), {}, (), [], max_depth)
     # deterministic order: by conditions, generic (fewest equalities) first
     def branch_key(b: Branch):
         return (

@@ -21,6 +21,7 @@ antidifference terms and satisfy the symmetry identity exactly.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -76,10 +77,7 @@ class OperatorCandidate(NamedTuple):
 
 
 def _rhs_variable_pool(sys: DdeSystem) -> list[VarRef]:
-    pool: set[VarRef] = set()
-    for f in sys.rhs:
-        pool.update(f.var_refs())
-    return sorted(pool)
+    return sorted({x for f in sys.rhs for x in f.var_refs()})
 
 
 def build_r0(
@@ -279,6 +277,16 @@ class _NoOperator(Exception):
     """Raised with (failure family, message) where a failure is found."""
 
 
+def _slots(exprs: Sequence[ExtendedExpr]):
+    """(slot key, polynomial) for each slot of an applied operator: per
+    component, the local slot, then one slot per formal antidifference
+    monomial in term order (its cofactor)."""
+    for i, e in enumerate(exprs):
+        yield (i, 0), e.local
+        for m, cof in e.thetas.items():
+            yield (i, 1, term_key(m)), cof
+
+
 def _constraint_rows(
     cand: OperatorCandidate,
     ops: Sequence[DiffOperator],
@@ -286,23 +294,14 @@ def _constraint_rows(
     fixed: dict[str, list[ExtendedExpr]] | None = None,
 ) -> list[dict[str, ParamCoeff]]:
     """Rows of one constraint family: a column per unknown, holding its
-    operator in ops applied to g, then the fixed columns.
-
-    Each column has, per component, one local slot, then one slot per
-    formal antidifference monomial in term order (its cofactor).
-    """
-    applied = {tag: op.apply(list(g)) for tag, op in zip(cand.unknowns, ops)}
-    applied.update(fixed or {})
-    columns: dict[str, list[LatticePoly]] = {tag: [] for tag in applied}
-    zero = LatticePoly.zero()
-    for i in range(cand.n):
-        keys = sorted(
-            {m for exprs in applied.values() for m in exprs[i].thetas}, key=term_key
-        )
-        for tag, exprs in applied.items():
-            columns[tag].append(exprs[i].local)
-            columns[tag].extend(exprs[i].thetas.get(m, zero) for m in keys)
-    return column_rows(list(columns), list(columns.values()))
+    operator in ops applied to g, then the fixed columns.  Each operator
+    is applied just before its column is read."""
+    fixed = fixed or {}
+    applied = (op.apply(list(g)) for op in ops)
+    return column_rows(
+        cand.unknowns + tuple(fixed),
+        map(_slots, itertools.chain(applied, fixed.values())),
+    )
 
 
 def solve_recursion(

@@ -48,10 +48,8 @@ class WeightFamily(NamedTuple):
 
 def rank_of(m: LatticeMonomial, w: WeightVector) -> Fraction:
     """Total weight of a monomial; shift offsets are irrelevant."""
-    total = Fraction(0)
-    for x, e in m.pairs:
-        total += e * w[x.comp]
-    return total
+    f = m.flat
+    return sum((e * w[c] for c, e in zip(f[0::3], f[2::3])), Fraction(0))
 
 
 def _balance_rows(sys: DdeSystem) -> list[dict[int, Fraction]]:
@@ -63,8 +61,8 @@ def _balance_rows(sys: DdeSystem) -> list[dict[int, Fraction]]:
     for i, f in enumerate(sys.rhs):
         for m in f.monomials():
             row = {i: Fraction(-1), n: Fraction(-1)}
-            for x, e in m.pairs:
-                row[x.comp] = row.get(x.comp, 0) + e
+            for c, _, e in m.triples():
+                row[c] = row.get(c, 0) + e
             rows.append(row)
     for i, val in sorted(sys.weight_pins.items()):
         rows.append({i: Fraction(1), n: -Fraction(val)})

@@ -79,11 +79,11 @@ def compose(p: LatticePoly, mapping) -> LatticePoly:
     out = LatticePoly.zero()
     for m, c in p.terms():
         piece = LatticePoly.const(c)
-        for x, e in m.pairs:
-            if x in mapping:
-                piece = piece * mapping[x] ** e
+        for comp, shift, e in m.triples():
+            if (comp, shift) in mapping:
+                piece = piece * mapping[comp, shift] ** e
             else:
-                piece = piece * LatticePoly.var(x.comp, x.shift, e)
+                piece = piece * LatticePoly.var(comp, shift, e)
         out = out + piece
     return out
 

@@ -5,18 +5,102 @@ import hypothesis.strategies as st
 
 from conftest import M, P, PARAM_TODA, TODA, UV, VOLTERRA, monomials, polys
 from lik.expr import (
+    LatticeMonomial,
     LatticePoly,
     VarRef,
+    canonical_offset,
     canonical_rep,
     delta_decompose,
     dir_derivative,
     partial,
     render_poly,
+    term_key,
     total_time_derivative,
 )
 from lik.params import ParamCoeff
 from lik.parser import parse_expression, parse_system
 from lik.system import DdeSystem
+
+
+# -- flat monomials against a dict reference -----------------------------------
+
+# (comp, shift) -> exponent pairs, repeats and zero exponents included, so
+# that construction has to merge and drop; shifts reach past any stencil
+factor_lists = st.lists(
+    st.tuples(st.tuples(st.integers(0, 2), st.integers(-9, 9)), st.integers(-3, 3)),
+    max_size=5,
+)
+
+
+def ref(pairs) -> dict[tuple[int, int], int]:
+    """The reference monomial: (comp, shift) -> nonzero exponent."""
+    acc: dict[tuple[int, int], int] = {}
+    for x, e in pairs:
+        acc[x] = acc.get(x, 0) + e
+    return {x: e for x, e in acc.items() if e}
+
+
+def ref_flat(d: dict[tuple[int, int], int]) -> tuple[int, ...]:
+    return tuple(v for (c, s), e in sorted(d.items()) for v in (c, s, e))
+
+
+class TestFlatMonomial:
+    @given(factor_lists, st.randoms(use_true_random=False))
+    def test_flat_form_hash_and_equality_ignore_the_pair_order(self, pairs, rnd):
+        m = LatticeMonomial(pairs)
+        shuffled = list(pairs)
+        rnd.shuffle(shuffled)
+        other = LatticeMonomial(shuffled)
+        assert m.flat == ref_flat(ref(pairs))
+        assert m == other and hash(m) == hash(other)
+        assert m.is_constant == (not ref(pairs))
+
+    @given(factor_lists, factor_lists)
+    def test_product_merges_and_cancels(self, a, b):
+        ma, mb = LatticeMonomial(a), LatticeMonomial(b)
+        assert (ma * mb).flat == ref_flat(ref(a + b))
+        # a Laurent monomial times its inverse is the constant monomial
+        assert ma * ma**-1 == LatticeMonomial.constant()
+        assert (ma * ma**-1).flat == ()
+
+    @given(factor_lists, st.integers(-12, 12), st.integers(-3, 3))
+    def test_shift_and_power(self, pairs, r, k):
+        m, d = LatticeMonomial(pairs), ref(pairs)
+        assert m.shifted(r).flat == ref_flat({(c, s + r): e for (c, s), e in d.items()})
+        expected = {} if k == 0 else {x: e * k for x, e in d.items()}
+        assert (m**k).flat == ref_flat(expected)
+
+    @given(factor_lists)
+    def test_canonical_offset_and_rep(self, pairs):
+        m, d = LatticeMonomial(pairs), ref(pairs)
+        offset = min(d)[1] if d else 0
+        assert canonical_offset(m) == offset
+        assert canonical_rep(m).flat == ref_flat(
+            {(c, s - offset): e for (c, s), e in d.items()}
+        )
+
+    @given(factor_lists, factor_lists)
+    def test_term_key_order(self, a, b):
+        def key(d):
+            triples = tuple((c, s, -e) for (c, s), e in sorted(d.items()))
+            return (-sum(d.values()), triples)
+
+        ka, kb = term_key(LatticeMonomial(a)), term_key(LatticeMonomial(b))
+        assert (ka < kb) == (key(ref(a)) < key(ref(b)))
+        assert (ka == kb) == (ref(a) == ref(b))
+
+    @given(factor_lists, st.tuples(st.integers(0, 2), st.integers(-9, 9)))
+    def test_exponent_degree_and_partial(self, pairs, x):
+        m, d = LatticeMonomial(pairs), ref(pairs)
+        assert m.degree() == sum(d.values())
+        assert LatticePoly.from_monomial(m).var_refs() == sorted(d)
+        # a variable drawn at random, then each variable of the monomial
+        for x in [VarRef(*x), *map(VarRef._make, d)]:
+            e = d.get(x, 0)
+            assert m.exponent(x) == e
+            rest = LatticeMonomial._of(ref_flat(ref([*d.items(), (x, -1)])))
+            expected = LatticePoly.from_monomial(rest, e) if e else LatticePoly.zero()
+            assert partial(LatticePoly.from_monomial(m), x) == expected
 
 
 class TestShift:

@@ -33,6 +33,17 @@ def evaluate_row(
     return total
 
 
+def dense(system: LinearSystem) -> list[list[ParamCoeff]]:
+    """The system's rows with one entry per unknown, zeros filled in."""
+    out = []
+    for cols, coeffs in zip(system.columns, system.rows):
+        row = [ParamCoeff.zero()] * len(system.unknowns)
+        for j, c in zip(cols, coeffs):
+            row[j] = c
+        out.append(row)
+    return out
+
+
 def rows_from(entries, unknowns):
     return LinearSystem.build(
         unknowns,
@@ -74,7 +85,7 @@ class TestNullspace:
         out = nullspace(sys)
         assert out.dimension == 2
         for vec in out.basis:
-            for row in sys.rows:
+            for row in dense(sys):
                 assert evaluate_row(row, sys.unknowns, vec).is_zero
 
     def test_rejects_parametric_entries(self):
@@ -150,10 +161,15 @@ class TestRationalKernel:
         ncols, rows = matrix
         unknowns = tuple(f"c{k + 1}" for k in range(ncols))
         expected = sympy_nullspace(ncols, rows, unknowns)
-        raw = LinearSystem(unknowns, tuple(tuple(R(v) for v in row) for row in rows))
+        # raw rows name every unknown, zeros included; build drops them
+        raw = LinearSystem.build(
+            unknowns, [{t: R(v) for t, v in zip(unknowns, row)} for row in rows]
+        )
         built = rows_from(
             [{t: v for t, v in zip(unknowns, row) if v} for row in rows], unknowns
         )
+        nonzero_rows = [[R(v) for v in row] for row in rows if any(row)]
+        assert dense(raw) == dense(built) == nonzero_rows
         for system in (raw, built):
             got = [
                 [(t, c.as_fraction()) for t, c in vec.items()]
@@ -182,7 +198,35 @@ class TestRationalKernel:
 
 
 def fractions_of(system):
-    return [[c.as_fraction() for c in row] for row in system.rows]
+    return [[c.as_fraction() for c in row] for row in dense(system)]
+
+
+class TestSparseRows:
+    @given(
+        st.lists(
+            st.dictionaries(
+                st.sampled_from(("c1", "c2", "c3", "c4")),
+                st.integers(-2, 2),
+                max_size=4,
+            ),
+            max_size=6,
+        )
+    )
+    def test_build_keeps_the_csr_invariants(self, entries):
+        # tags come in any order, zero entries and empty rows included
+        unknowns = ("c1", "c2", "c3", "c4")
+        system = LinearSystem.build(
+            unknowns, [{t: R(v) for t, v in row.items()} for row in entries]
+        )
+        assert len(system.rows) == len(system.columns)
+        for cols, coeffs in zip(system.columns, system.rows):
+            assert coeffs and len(cols) == len(coeffs)
+            assert list(cols) == sorted(set(cols))
+            assert not any(c.is_zero for c in coeffs)
+        expected = [
+            [R(row.get(t, 0)) for t in unknowns] for row in entries if any(row.values())
+        ]
+        assert dense(system) == expected
 
 
 class TestFromColumns:
@@ -216,7 +260,7 @@ class TestFromColumns:
         sys = LinearSystem.from_columns(
             ("c1", "c2"), [(P("a*u[0]", ("a",)),), (P("u[0] - v[0]"),)]
         )
-        assert [[c.render() for c in row] for row in sys.rows] == [
+        assert [[c.render() for c in row] for row in dense(sys)] == [
             ["a", "1"],
             ["0", "-1"],
         ]
@@ -277,7 +321,7 @@ class TestParametricSolve:
             if values is None:
                 continue
             for vec in br.outcome.basis:
-                for row in sys.rows:
+                for row in dense(sys):
                     resid = evaluate_row(row, sys.unknowns, vec)
                     assert resid.substitute(values).is_zero
 
@@ -356,13 +400,13 @@ def _check_at(branch, system, point):
     there are as many vectors as sympy's nullity of the specialized
     matrix."""
     at = {p: R(v) for p, v in point.items()}
-    rows = [[c.substitute(at).as_fraction() for c in row] for row in system.rows]
+    rows = [[c.substitute(at).as_fraction() for c in row] for row in dense(system)]
     ncols = len(system.unknowns)
     flat = [sympy.Rational(v.numerator, v.denominator) for row in rows for v in row]
     rank = sympy.Matrix(len(rows), ncols, flat).rank() if rows else 0
     assert branch.outcome.dimension == ncols - rank, point
     for vec in branch.outcome.basis:
-        for row in system.rows:
+        for row in dense(system):
             resid = evaluate_row(row, system.unknowns, vec)
             assert resid.substitute(at).is_zero, point
 
@@ -613,7 +657,8 @@ class TestColumnRows:
         assert [list(p.terms()) for p in reordered] != [list(p.terms()) for p in polys]
 
         def rows(slot1):
-            out = column_rows(("c1", "c2"), [(P("v[0]"), slot1[0]), (P("2*v[0]"), slot1[1])])
+            columns = [(P("v[0]"), slot1[0]), (P("2*v[0]"), slot1[1])]
+            out = column_rows(("c1", "c2"), map(enumerate, columns))
             return [[(t, c.as_fraction()) for t, c in r.items()] for r in out]
 
         # slot 0 first, then slot 1's monomials in term_key order:

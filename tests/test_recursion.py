@@ -310,3 +310,82 @@ class TestOperatorIdentityOnRandomProbes:
         for _ in range(50):
             res = residual.apply([rand_poly(), rand_poly()])
             assert all(x.is_zero for x in res)
+
+
+# -- streamed row assembly against the all-columns-at-once reference ---------
+
+from pathlib import Path  # noqa: E402
+
+from lik.expr import LatticePoly, term_key  # noqa: E402
+from lik.operators import ExtendedExpr  # noqa: E402
+from lik.parser import parse_system  # noqa: E402
+from lik.recursion import (  # noqa: E402
+    _constraint_rows,
+    build_candidate,
+    identity_residual,
+)
+from lik.scaling import compute_weights  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def reference_constraint_rows(cand, ops, g, fixed=None):
+    """Every operator applied to g first, all columns alive together; then
+    per component the local slot and one slot per antidifference monomial
+    of any column in term order, one row per monomial of a slot in term
+    order."""
+    applied = {tag: op.apply(list(g)) for tag, op in zip(cand.unknowns, ops)}
+    applied.update(fixed or {})
+    zero = LatticePoly.zero()
+    rows = []
+    for i in range(cand.n):
+        keys = sorted(
+            {m for exprs in applied.values() for m in exprs[i].thetas}, key=term_key
+        )
+        slots = [{tag: exprs[i].local for tag, exprs in applied.items()}]
+        slots += [
+            {tag: exprs[i].thetas.get(m, zero) for tag, exprs in applied.items()}
+            for m in keys
+        ]
+        for slot in slots:
+            by_monomial = {}
+            for tag, p in slot.items():
+                for m, c in p.terms():
+                    by_monomial.setdefault(m, {})[tag] = c
+            rows.extend(by_monomial[m] for m in sorted(by_monomial, key=term_key))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        "systems/toda.dde",
+        "systems/volterra.dde",
+        "perfbench/systems/modified_volterra.dde",
+        "perfbench/systems/bogoyavlenskii.dde",
+    ],
+)
+def test_streamed_rows_match_the_all_at_once_assembly(path):
+    system = parse_system((ROOT / path).read_text())
+    w = compute_weights(system)
+    _, chain = recursion_pipeline(system, w, levels=2)
+    ga, gb = chain[0], chain[1]
+    cand = build_candidate(system, w, rank_matrix(ga, gb), chain)
+    fp = frechet_operator(system.rhs)
+    parts = [identity_residual(op, system, fp) for op in cand.basis]
+    # the generation family, with the scale unknown's fixed column
+    fixed = {"mu1": [ExtendedExpr(-c) for c in gb.components]}
+    rows = _constraint_rows(cand, cand.basis, ga.components, fixed)
+    assert rows and rows == reference_constraint_rows(
+        cand, cand.basis, ga.components, fixed
+    )
+    # the defining-identity probes on each symmetry
+    for g in chain:
+        rows = _constraint_rows(cand, parts, g.components)
+        assert rows and rows == reference_constraint_rows(cand, parts, g.components)
+    # on symmetries the nonlocal columns leave no antidifference term; off
+    # them they do, so the antidifference slots are keyed and ordered too
+    g = [LatticePoly.var(i, 1, 2) + LatticePoly.var(i, 0) for i in range(system.n)]
+    assert any(e.thetas for op in cand.basis for e in op.apply(g))
+    rows = _constraint_rows(cand, cand.basis, g, fixed)
+    assert rows == reference_constraint_rows(cand, cand.basis, g, fixed)

@@ -117,8 +117,8 @@ def _rref_outcome(sys):
     for i, f in enumerate(sys.rhs):
         for m in f.monomials():
             a = [0] * n
-            for x, e in m.pairs:
-                a[x.comp] += e
+            for c, _, e in m.triples():
+                a[c] += e
             a[i] -= 1
             rows.append(a + [1])
     for i, val in sys.weight_pins.items():
