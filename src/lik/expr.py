@@ -88,22 +88,23 @@ class LatticeMonomial:
             return self if a else other
         out: list[int] = []
         i = j = 0
-        while i < len(a) and j < len(b):
-            ka, kb = a[i : i + 2], b[j : j + 2]
-            if ka < kb:
+        la, lb = len(a), len(b)
+        while i < la and j < lb:
+            ca, cb = a[i], b[j]
+            if ca < cb or ca == cb and a[i + 1] < b[j + 1]:
                 out += a[i : i + 3]
                 i += 3
-            elif kb < ka:
+            elif ca > cb or a[i + 1] > b[j + 1]:
                 out += b[j : j + 3]
                 j += 3
             else:
                 e = a[i + 2] + b[j + 2]
                 if e:
-                    out += (*ka, e)
+                    out += (ca, a[i + 1], e)
                 i += 3
                 j += 3
-        out.extend(a[i:] + b[j:])  # one of the two is empty
-        return LatticeMonomial._of(tuple(out))
+        # one of the two tails is empty
+        return LatticeMonomial._of(tuple(out) + a[i:] + b[j:])
 
     def __pow__(self, k: int) -> "LatticeMonomial":
         if k == 0:
@@ -289,7 +290,7 @@ class LatticePoly:
     def shifted(self, r: int) -> "LatticePoly":
         if r == 0:
             return self
-        return LatticePoly({m.shifted(r): c for m, c in self._terms.items()})
+        return LatticePoly._of({m.shifted(r): c for m, c in self._terms.items()})
 
 
 def _coerce_poly(value: Union[LatticePoly, Scalar]) -> LatticePoly:
@@ -333,11 +334,19 @@ def partial(p: LatticePoly, x: VarRef) -> LatticePoly:
 
 def dir_derivative(p: LatticePoly, directions: Sequence[LatticePoly]) -> LatticePoly:
     """Derivative of p along component directions: sum over variables x=(i,k)
-    of (dp/dx) * D**k(directions[i])."""
-    out = LatticePoly.zero()
-    for x in p.var_refs():
-        out = out + partial(p, x) * directions[x.comp].shifted(x.shift)
-    return out
+    of (dp/dx) * D**k(directions[i]).  By the Leibniz rule, each factor
+    x^e of a term c*m contributes e*c * (m/x) * D**k(directions[i])."""
+    acc: dict[LatticeMonomial, ParamCoeff] = {}
+    for m, c in p._terms.items():
+        f = m.flat
+        for k in range(0, len(f), 3):
+            comp, shift, e = f[k : k + 3]
+            rest = f[: k + 2] + (e - 1,) if e != 1 else f[:k]
+            cofactor = LatticeMonomial._of(rest + f[k + 3 :])
+            ce = c.scale(e)
+            for dm, dc in directions[comp]._terms.items():
+                accumulate(acc, cofactor * dm.shifted(shift), dc * ce)
+    return LatticePoly._of(acc)
 
 
 def total_time_derivative(p: LatticePoly, sys: "DdeSystem") -> LatticePoly:
@@ -346,7 +355,8 @@ def total_time_derivative(p: LatticePoly, sys: "DdeSystem") -> LatticePoly:
     Dt is a derivation that commutes with shifts, so Dt of a monomial m is
     Dt(canonical_rep(m)) shifted back by canonical_offset(m).  That
     derivative is computed once per representative and kept on the system
-    (sys.dt_cache).
+    (sys.dt_cache); Dt of a lone representative with coefficient 1 is the
+    cached polynomial itself.
     """
     cache = sys.dt_cache
     acc: dict[LatticeMonomial, ParamCoeff] = {}
@@ -356,8 +366,10 @@ def total_time_derivative(p: LatticePoly, sys: "DdeSystem") -> LatticePoly:
         d = cache.get(rep)
         if d is None:
             d = cache[rep] = dir_derivative(LatticePoly._of({rep: _ONE}), sys.rhs)
+        if not r and len(p._terms) == 1 and c == _ONE:
+            return d
         for dm, dc in d._terms.items():
-            accumulate(acc, dm.shifted(r), dc * c)
+            accumulate(acc, dm.shifted(r) if r else dm, dc * c)
     return LatticePoly._of(acc)
 
 

@@ -19,6 +19,10 @@ Scalar = Union[int, Fraction, "ParamCoeff"]
 
 _ONE_PM: PMono = ()
 
+# the shared small constants of ParamCoeff._of (hash-consing of immutable
+# values): value -> its one instance
+_SMALL: dict[int, "ParamCoeff"] = {}
+
 
 def _pmono_mul(a: PMono, b: PMono) -> PMono:
     if not a:
@@ -82,7 +86,17 @@ class ParamCoeff:
 
     @classmethod
     def _of(cls, terms: dict[PMono, Union[int, Fraction]]) -> "ParamCoeff":
-        """Wrap terms that already hold only nonzero exact values."""
+        """Wrap terms that already hold only nonzero exact values.  A
+        constant integer in [-64, 64] other than 0 is one shared instance,
+        made on first use (_SMALL), so no method may change the terms it
+        wraps."""
+        if len(terms) == 1:
+            v = terms.get(_ONE_PM)
+            if type(v) is int and -64 <= v <= 64:
+                shared = _SMALL.get(v)
+                if shared is None:
+                    shared = _SMALL[v] = cls(terms)
+                return shared
         out = object.__new__(cls)
         out._terms = terms
         return out
@@ -99,7 +113,8 @@ class ParamCoeff:
 
     @classmethod
     def from_value(cls, value: Union[int, Fraction]) -> "ParamCoeff":
-        return cls({_ONE_PM: value})
+        v = _exact(value)
+        return cls._of({_ONE_PM: v} if v else {})
 
     @classmethod
     def param(cls, name: str) -> "ParamCoeff":
@@ -213,6 +228,8 @@ class ParamCoeff:
         a, b = self._terms, other._terms
         # a constant factor only scales: no monomial products
         if len(b) == 1 and _ONE_PM in b:
+            if len(a) == 1 and _ONE_PM in a:
+                return ParamCoeff._of({_ONE_PM: _exact(a[_ONE_PM] * b[_ONE_PM])})
             return self.scale(b[_ONE_PM])
         if len(a) == 1 and _ONE_PM in a:
             return other.scale(a[_ONE_PM])

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from lik.expr import LatticeMonomial, LatticePoly, VarRef
+from lik.expr import LatticeMonomial, LatticePoly, VarRef, partial
 from lik.params import ParamCoeff
 from lik.parser import parse_expression, parse_system
 from lik.scaling import compute_weights
@@ -70,7 +70,19 @@ def M(text: str) -> LatticeMonomial:
     return m
 
 
-# -- Frechet epsilon oracle ----------------------------------------------------
+# -- derivative oracles -------------------------------------------------------
+
+
+def dir_derivative_oracle(p: LatticePoly, directions) -> LatticePoly:
+    """The derivative of p along component directions by its definition:
+    the sum over the variables x = (i, k) of p of (dp/dx) * D**k(directions[i])."""
+    out = LatticePoly.zero()
+    for x in p.var_refs():
+        out = out + partial(p, x) * directions[x.comp].shifted(x.shift)
+    return out
+
+
+# Frechet epsilon oracle
 
 
 def compose(p: LatticePoly, mapping) -> LatticePoly:

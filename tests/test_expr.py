@@ -1,9 +1,19 @@
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from conftest import M, P, PARAM_TODA, TODA, UV, VOLTERRA, monomials, polys
+from conftest import (
+    M,
+    P,
+    PARAM_TODA,
+    TODA,
+    UV,
+    VOLTERRA,
+    dir_derivative_oracle,
+    monomials,
+    polys,
+)
 from lik.expr import (
     LatticeMonomial,
     LatticePoly,
@@ -56,6 +66,15 @@ class TestFlatMonomial:
         assert m.is_constant == (not ref(pairs))
 
     @given(factor_lists, factor_lists)
+    # equal components with interleaved shifts
+    @example([((0, -1), 1), ((0, 2), 1)], [((0, 0), 2), ((0, 3), 1)])
+    # cancellation in the middle of the merge
+    @example([((0, 0), 1), ((0, 1), 2), ((1, 0), 1)], [((0, 1), -2)])
+    @example([((0, 0), 1), ((1, 2), -1), ((2, 0), 1)], [((1, -1), 1), ((1, 2), 1)])
+    # either side running out first
+    @example([((0, 0), 1)], [((0, 1), 1), ((1, 0), 3)])
+    @example([((0, 1), 1), ((1, 0), 3)], [((0, 0), 1)])
+    @example([((1, 0), 1), ((1, 1), 1)], [((0, 5), 1), ((1, 0), 1)])
     def test_product_merges_and_cancels(self, a, b):
         ma, mb = LatticeMonomial(a), LatticeMonomial(b)
         assert (ma * mb).flat == ref_flat(ref(a + b))
@@ -163,7 +182,7 @@ class TestTotalTimeDerivative:
 
 
 # Dt is memoized per shift-canonical monomial on the system; every call
-# must still equal the direction derivative along the right-hand sides.
+# must still equal the sum of partials along the right-hand sides.
 CACHED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 PARAM_COEFFS = st.sampled_from(["1", "a", "-2*b", "a*b - 1", "(1/3)*a^2"])
 
@@ -174,14 +193,14 @@ class TestCachedTimeDerivative:
     def test_toda(self, p):
         sys_ = parse_system(TODA)
         for _ in range(2):  # a cold cache, then a warm one
-            assert total_time_derivative(p, sys_) == dir_derivative(p, sys_.rhs)
+            assert total_time_derivative(p, sys_) == dir_derivative_oracle(p, sys_.rhs)
 
     @CACHED
     @given(p=polys(n_comp=1, max_shift=4))
     def test_volterra(self, p):
         sys_ = parse_system(VOLTERRA)
         for _ in range(2):
-            assert total_time_derivative(p, sys_) == dir_derivative(p, sys_.rhs)
+            assert total_time_derivative(p, sys_) == dir_derivative_oracle(p, sys_.rhs)
 
     @CACHED
     @given(p=polys(max_shift=4), k=PARAM_COEFFS)
@@ -189,7 +208,7 @@ class TestCachedTimeDerivative:
         sys_ = parse_system(PARAM_TODA)
         p = p * parse_expression(k, UV, sys_.params) + p.shifted(1)
         for _ in range(2):
-            assert total_time_derivative(p, sys_) == dir_derivative(p, sys_.rhs)
+            assert total_time_derivative(p, sys_) == dir_derivative_oracle(p, sys_.rhs)
 
     def test_systems_with_equal_names_share_no_entry(self):
         volterra = parse_system(VOLTERRA)
@@ -199,10 +218,10 @@ class TestCachedTimeDerivative:
         )
         p = P("u[0]*u[1] + u[-2]")
         first = total_time_derivative(p, volterra)
-        assert first == dir_derivative(p, volterra.rhs)
+        assert first == dir_derivative_oracle(p, volterra.rhs)
         for other in (modified, replaced):
             got = total_time_derivative(p, other)
-            assert got == dir_derivative(p, modified.rhs)
+            assert got == dir_derivative_oracle(p, modified.rhs)
             assert got != first
         assert total_time_derivative(p, volterra) == first
 
@@ -220,6 +239,38 @@ class TestCachedTimeDerivative:
         assert plain == pinned and hash(plain) == hash(pinned)
         assert "weight_pins={0: Fraction(3, 1)}" in repr(pinned)
         assert "dt_cache" not in repr(pinned)
+
+
+class TestDirDerivative:
+    @CACHED
+    @given(
+        p=polys(max_shift=4),
+        kp=PARAM_COEFFS,
+        directions=st.lists(
+            st.tuples(polys(max_shift=2), PARAM_COEFFS, st.integers(-3, 3)),
+            min_size=2,
+            max_size=2,
+        ),
+    )
+    def test_matches_the_sum_of_partials(self, p, kp, directions):
+        # Laurent monomials, parametric coefficients and shifted directions
+        p = p * P(kp, ("a", "b")) + p.shifted(1)
+        g = [(q * P(k, ("a", "b"))).shifted(r) for q, k, r in directions]
+        assert dir_derivative(p, g) == dir_derivative_oracle(p, g)
+
+    @given(m=monomials(max_shift=4))
+    def test_time_derivative_of_a_lone_canonical_monomial(self, m):
+        m = canonical_rep(m)
+        p = LatticePoly.from_monomial(m)
+        sys_ = parse_system(TODA)
+        cold = total_time_derivative(p, sys_)
+        warm = total_time_derivative(p, sys_)
+        assert cold == dir_derivative_oracle(p, sys_.rhs)
+        assert warm is cold  # the cached polynomial itself, not a copy
+        # a scaled or shifted monomial is derived from the same entry
+        assert total_time_derivative(p * 3, sys_) == cold * 3
+        assert total_time_derivative(p.shifted(2), sys_) == cold.shifted(2)
+        assert total_time_derivative(p, sys_) == cold
 
 
 class TestCanonicalRep:

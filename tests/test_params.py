@@ -109,6 +109,18 @@ def _ref_pow(f, k):
     return out
 
 
+def _ref_substitute(f, sa):
+    """f with a := sa."""
+    want = {}
+    for m, c in f.items():
+        piece = {(): c}
+        for name, e in m:
+            base = sa if name == "a" else {((name, 1),): Fraction(1)}
+            piece = _ref_mul(piece, _ref_pow(base, e))
+        want = _ref_add(want, piece)
+    return want
+
+
 def _ref(pc):
     return {m: Fraction(c) for m, c in pc.items()}
 
@@ -176,17 +188,8 @@ class TestRingAgainstReference:
     @RING
     @given(raw_coeffs, raw_coeffs, raw_coeffs)
     def test_substitute(self, f, sa, sb):
-        p = ParamCoeff(f)
-        assignment = {"a": ParamCoeff(sa)}
-        want = {}
-        for m, c in _exact_ref(f).items():
-            piece = {(): c}
-            for name, e in m:
-                base = _exact_ref(sa) if name == "a" else {((name, 1),): Fraction(1)}
-                piece = _ref_mul(piece, _ref_pow(base, e))
-            want = _ref_add(want, piece)
-        got = p.substitute(assignment)
-        assert _ref(got) == want
+        got = ParamCoeff(f).substitute({"a": ParamCoeff(sa)})
+        assert _ref(got) == _ref_substitute(_exact_ref(f), _exact_ref(sa))
         _assert_stored_values(got)
 
     @RING
@@ -247,3 +250,67 @@ def test_constructors_store_exact_values():
     # dividing two accessors is exact division, never float division
     assert ParamCoeff.from_value(1).as_fraction() / ParamCoeff.from_value(3).as_fraction() == Fraction(1, 3)
     assert ParamCoeff.from_value(3).content() / 2 == Fraction(3, 2)
+
+
+# -- shared small constants ----------------------------------------------------
+
+from pathlib import Path  # noqa: E402
+
+from lik.cli import main  # noqa: E402
+from lik.params import _SMALL  # noqa: E402
+
+
+def _is_shared(pc) -> bool:
+    return any(pc is s for s in _SMALL.values())
+
+
+def _assert_shared_intact():
+    for v, s in _SMALL.items():
+        assert s._terms == {(): v} and type(s._terms[()]) is int
+
+
+class TestSharedConstants:
+    @RING
+    @given(raw_coeffs, raw_coeffs, scalars)
+    def test_results_equal_fresh_coefficients(self, f, g, k):
+        p, q = ParamCoeff(f), ParamCoeff(g)
+        rf, rg = _exact_ref(f), _exact_ref(g)
+        for got, want in (
+            (p + q, _ref_add(rf, rg)),
+            (p - q, _ref_add(rf, {m: -c for m, c in rg.items()})),
+            (p * q, _ref_mul(rf, rg)),
+            (p.scale(k), {m: c * k for m, c in rf.items() if c * k}),
+            (p.substitute({"a": q}), _ref_substitute(rf, rg)),
+        ):
+            fresh = ParamCoeff(want)
+            assert got == fresh and hash(got) == hash(fresh)
+            assert got.items() == fresh.items() and got.render() == fresh.render()
+        _assert_shared_intact()
+
+    def test_parametric_and_zero_are_never_shared(self):
+        a, b = ParamCoeff.param("a"), ParamCoeff.param("b")
+        for pc in (
+            a,
+            -3 * a * b,
+            a * 2 - a,
+            ParamCoeff._of({(("a", 1),): 1}),
+            ParamCoeff._of({(("a", 1), ("b", 1)): -3}),
+            ParamCoeff.zero(),
+            ParamCoeff.from_value(0),
+            a - a,
+            ParamCoeff.one() - 1,
+            a * 0,
+        ):
+            assert not _is_shared(pc), pc
+        # constants are shared only inside [-64, 64]
+        assert _is_shared(ParamCoeff.from_value(-64))
+        assert _is_shared(ParamCoeff.from_value(8) * ParamCoeff.from_value(8))
+        assert not _is_shared(ParamCoeff.from_value(65))
+        assert not _is_shared(ParamCoeff.from_value(Fraction(1, 2)))
+
+    def test_shared_instances_intact_after_a_recursion_run(self, capsys):
+        toda = Path(__file__).resolve().parent.parent / "systems" / "toda.dde"
+        code = main(["recursion", str(toda)])
+        capsys.readouterr()
+        _assert_shared_intact()
+        assert code == 0
