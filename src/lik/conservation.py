@@ -30,6 +30,7 @@ from .linalg import (
     DEFAULT_BRANCH_DEPTH,
     Branch,
     LinearSystem,
+    column_rows,
     fresh_tags,
     normalize_basis_vector,
     parametric_solve,
@@ -100,10 +101,11 @@ def solve_density(
         canonical, j = delta_decompose(
             total_time_derivative(LatticePoly.from_monomial(m), sys)
         )
-        columns.append((canonical,))
+        columns.append(((0, canonical),))
         fluxes.append(j)
     branches = parametric_solve(
-        LinearSystem.from_columns(cand.unknowns, columns), max_depth
+        LinearSystem.build(cand.unknowns, column_rows(cand.unknowns, columns)),
+        max_depth,
     )
 
     results: list[DensityResult] = []

@@ -12,7 +12,7 @@ Everything here is immutable and pure; all arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
 from .params import ParamCoeff, Scalar, join_signed
 
@@ -20,13 +20,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .system import DdeSystem
 
 _ONE = ParamCoeff.one()
-
-
-class VarRef(NamedTuple):
-    """Component index and signed lattice-shift offset of one variable."""
-
-    comp: int
-    shift: int
 
 
 class LatticeMonomial:
@@ -75,9 +68,6 @@ class LatticeMonomial:
 
     def degree(self) -> int:
         return sum(self.flat[2::3])
-
-    def exponent(self, x: VarRef) -> int:
-        return next((e for c, s, e in self.triples() if (c, s) == x), 0)
 
     # -- algebra ---------------------------------------------------------
 
@@ -205,9 +195,6 @@ class LatticePoly:
         m = min(self._terms, key=term_key)
         return m, self._terms[m]
 
-    def var_refs(self) -> list[VarRef]:
-        return sorted({VarRef(c, s) for m in self._terms for c, s, _ in m.triples()})
-
     def parameters(self) -> set[str]:
         out: set[str] = set()
         for c in self._terms.values():
@@ -225,8 +212,6 @@ class LatticePoly:
             accumulate(acc, m, c)
         return LatticePoly._of(acc)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "LatticePoly":
         return LatticePoly._of({m: -c for m, c in self._terms.items()})
 
@@ -235,9 +220,6 @@ class LatticePoly:
         for m, c in _coerce_poly(other)._terms.items():
             accumulate(acc, m, -c)
         return LatticePoly._of(acc)
-
-    def __rsub__(self, other: Union["LatticePoly", Scalar]) -> "LatticePoly":
-        return _coerce_poly(other) - self
 
     def __mul__(self, other: Union["LatticePoly", Scalar]) -> "LatticePoly":
         if isinstance(other, (int, Fraction, ParamCoeff)):
@@ -251,8 +233,6 @@ class LatticePoly:
             for mb, cb in other._terms.items():
                 accumulate(acc, ma * mb, ca * cb)
         return LatticePoly._of(acc)
-
-    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "LatticePoly":
         if k < 0:
@@ -314,22 +294,6 @@ def accumulate(acc: dict, key, c) -> None:
 
 
 # -- calculus -------------------------------------------------------------------
-
-
-def partial(p: LatticePoly, x: VarRef) -> LatticePoly:
-    """Formal partial derivative with the Laurent power rule."""
-    comp, shift = x
-    acc: dict[LatticeMonomial, ParamCoeff] = {}
-    for m, c in p._terms.items():
-        f = m.flat
-        for k in range(0, len(f), 3):
-            if f[k] == comp and f[k + 1] == shift:
-                e = f[k + 2]
-                rest = f[: k + 2] + (e - 1,) if e != 1 else f[:k]
-                rest += f[k + 3 :]
-                accumulate(acc, LatticeMonomial._of(rest), c.scale(e))
-                break
-    return LatticePoly._of(acc)
 
 
 def dir_derivative(p: LatticePoly, directions: Sequence[LatticePoly]) -> LatticePoly:

@@ -83,17 +83,6 @@ class LinearSystem(NamedTuple):
                 columns.append(cols)
         return cls(tuple(unknowns), tuple(rows), tuple(columns))
 
-    @classmethod
-    def from_columns(
-        cls,
-        unknowns: Sequence[str],
-        columns: Sequence[Sequence[LatticePoly]],
-    ) -> "LinearSystem":
-        """The system column_rows makes of equally long columns of slots."""
-        if len({len(column) for column in columns}) > 1:
-            raise ValueError("columns differ in their number of slots")
-        return cls.build(unknowns, column_rows(unknowns, map(enumerate, columns)))
-
     def matrix(self) -> Iterable[Row]:
         """The rows as {column: entry} maps, made one at a time."""
         return map(dict, map(zip, self.columns, self.rows))

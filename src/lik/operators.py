@@ -79,14 +79,6 @@ class ExtendedExpr:
             accumulate(thetas, m, cof)
         return ExtendedExpr(self.local + other.local, thetas)
 
-    def __neg__(self) -> "ExtendedExpr":
-        return ExtendedExpr(
-            -self.local, {m: -cof for m, cof in self.thetas.items()}
-        )
-
-    def __sub__(self, other: "ExtendedExpr") -> "ExtendedExpr":
-        return self + (-other)
-
     def scale(self, p: Union[LatticePoly, int, Fraction]) -> "ExtendedExpr":
         """p times the expression, for a nonzero p."""
         return ExtendedExpr(

@@ -16,7 +16,7 @@ directives, e.g.
 
 Operator entries reuse the expression grammar extended with the symbols
 I, D, D^k and S, where S denotes the inverse forward difference (D-I)^-1,
-composed left to right with *.
+composed left to right with *; a polynomial p there is the operator p*I.
 """
 
 from __future__ import annotations
@@ -81,11 +81,19 @@ def _tokenize(text: str, line_no: int, col: int = 1) -> list[Token]:
     return out
 
 
+def _poly(entry: OpEntry) -> LatticePoly | None:
+    """p for an entry p*I, None for any other entry."""
+    if entry.nonlocals or entry.locals.keys() - {0}:
+        return None
+    return entry.locals.get(0, LatticePoly.zero())
+
+
 class _ExprParser:
     """Recursive descent over one tokenized line.
 
-    Values are OpEntry when operators are enabled, LatticePoly otherwise;
-    operator atoms (I, D, S) are rejected in plain expression mode.
+    Every value is an OpEntry, a polynomial p being p*I; operator atoms
+    (I, D, S) are rejected in plain expression mode, so there every value
+    is such a p*I.
     """
 
     def __init__(
@@ -126,16 +134,7 @@ class _ExprParser:
 
     # -- grammar -------------------------------------------------------------
 
-    def parse_poly(self) -> LatticePoly:
-        value = self.whole()
-        assert isinstance(value, LatticePoly)
-        return value
-
-    def parse_entry(self) -> OpEntry:
-        value = self.whole()
-        return value if isinstance(value, OpEntry) else OpEntry.local(value)
-
-    def whole(self):
+    def whole(self) -> OpEntry:
         """The line's one expression, up to its end."""
         try:
             value = self.sum_()
@@ -154,7 +153,6 @@ class _ExprParser:
         while self.cur.kind in ("+", "-"):
             op = self.advance().kind
             rhs = self.term()
-            value, rhs = self._align(value, rhs)
             value = value + rhs if op == "+" else value - rhs
         return value
 
@@ -176,9 +174,7 @@ class _ExprParser:
             if self.advance().kind == "-":
                 sign = -sign
         value = self.power()
-        if sign < 0:
-            value = value.scale(-1) if isinstance(value, OpEntry) else -value
-        return value
+        return value.scale(-1) if sign < 0 else value
 
     def power(self):
         base = self.atom()
@@ -186,20 +182,21 @@ class _ExprParser:
             return base
         tok = self.advance()
         k = self._int_exponent()
-        if isinstance(base, OpEntry):
-            if base == OpEntry.shift(1):
-                return OpEntry.shift(k)
+        if base == OpEntry.shift(1):
+            return OpEntry.shift(k)
+        p = _poly(base)
+        if p is None:
             if k < 0:
                 raise ParseError("negative operator powers only for D", tok.line, tok.col)
             out = OpEntry.identity()
             for _ in range(k):
                 out = self._mul(out, base, tok)
             return out
-        if k < 0 and len(base) != 1:
+        if k < 0 and len(p) != 1:
             raise ParseError(
                 "negative powers need a single-term divisor", tok.line, tok.col
             )
-        return self._pow(base, k, tok)
+        return self._pow(p, k, tok)
 
     def _int_exponent(self) -> int:
         sign = 1
@@ -220,7 +217,7 @@ class _ExprParser:
         tok = self.cur
         if tok.kind == "int":
             self.advance()
-            return LatticePoly.const(int(tok.text))
+            return OpEntry.local(LatticePoly.const(int(tok.text)))
         if tok.kind == "(":
             self.advance()
             value = self.sum_()
@@ -253,9 +250,9 @@ class _ExprParser:
                     raise ParseError(
                         f"unknown component {name!r}", tok.line, tok.col
                     )
-                return LatticePoly.var(self.names[name], k)
+                return OpEntry.local(LatticePoly.var(self.names[name], k))
             if name in self.params:
-                return LatticePoly.const(ParamCoeff.param(name))
+                return OpEntry.local(LatticePoly.const(ParamCoeff.param(name)))
             if name in self.names:
                 raise ParseError(
                     f"component {name!r} needs a shift, e.g. {name}[0]",
@@ -265,42 +262,29 @@ class _ExprParser:
             raise ParseError(f"unknown symbol {name!r}", tok.line, tok.col)
         self.fail(f"unexpected {tok.text or 'end of line'!r}")
 
-    # -- mixed poly/operator arithmetic ----------------------------------------
+    # -- arithmetic ------------------------------------------------------------
 
-    def _align(self, a, b):
-        if isinstance(a, OpEntry) and isinstance(b, LatticePoly):
-            return a, OpEntry.local(b)
-        if isinstance(a, LatticePoly) and isinstance(b, OpEntry):
-            return OpEntry.local(a), b
-        return a, b
-
-    def _mul(self, a, b, tok: Token):
-        if isinstance(a, LatticePoly) and isinstance(b, LatticePoly):
-            return a * b
-        a2 = a if isinstance(a, OpEntry) else OpEntry.local(a)
-        b2 = b if isinstance(b, OpEntry) else OpEntry.local(b)
+    def _mul(self, a: OpEntry, b: OpEntry, tok: Token) -> OpEntry:
         try:
-            return a2.compose(b2)
+            return a.compose(b)
         except ValueError as exc:  # two nonlocal factors
             raise ParseError(str(exc), tok.line, tok.col) from None
 
-    def _pow(self, base: LatticePoly, k: int, tok: Token) -> LatticePoly:
+    def _pow(self, base: LatticePoly, k: int, tok: Token) -> OpEntry:
         try:
-            return base**k
+            return OpEntry.local(base**k)
         except ValueError as exc:  # a parameter in the inverted coefficient
             raise ParseError(str(exc), tok.line, tok.col) from None
 
-    def _div(self, a, b, tok: Token):
-        if not isinstance(b, LatticePoly):
+    def _div(self, a: OpEntry, b: OpEntry, tok: Token) -> OpEntry:
+        p = _poly(b)
+        if p is None:
             raise ParseError("cannot divide by an operator", tok.line, tok.col)
-        if len(b) != 1:
+        if len(p) != 1:
             raise ParseError(
                 "division only by rationals or single monomials", tok.line, tok.col
             )
-        inv = self._pow(b, -1, tok)
-        if isinstance(a, OpEntry):
-            return a.compose(OpEntry.local(inv))
-        return a * inv
+        return a.compose(self._pow(p, -1, tok))
 
 
 def parse_expression(
@@ -312,7 +296,7 @@ def parse_expression(
 ) -> LatticePoly:
     """Parse one polynomial expression against known component names;
     text starts at column col of line line_no."""
-    return _ExprParser(_tokenize(text, line_no, col), names, params).parse_poly()
+    return _poly(_ExprParser(_tokenize(text, line_no, col), names, params).whole())
 
 
 def parse_operator_entry(
@@ -324,7 +308,7 @@ def parse_operator_entry(
 ) -> OpEntry:
     return _ExprParser(
         _tokenize(text, line_no, col), names, params, operators=True
-    ).parse_entry()
+    ).whole()
 
 
 def parse_rational(text: str) -> Fraction:

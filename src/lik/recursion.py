@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .conservation import build_density_candidate, solve_density
-from .expr import LatticeMonomial, LatticePoly, VarRef, delta_decompose, term_key
+from .expr import LatticeMonomial, LatticePoly, delta_decompose, term_key
 from .linalg import (
     DEFAULT_BRANCH_DEPTH,
     LinearSolveError,
@@ -76,17 +76,16 @@ class OperatorCandidate(NamedTuple):
         return out
 
 
-def _rhs_variable_pool(sys: DdeSystem) -> list[VarRef]:
-    return sorted({x for f in sys.rhs for x in f.var_refs()})
-
-
 def build_r0(
     sys: DdeSystem, w: WeightVector, rm: RankMatrix
 ) -> OperatorCandidate:
     """Local candidate: per entry, one unknown for each (shift power,
     rank-matching pool cofactor) combination."""
     n = sys.n
-    pool = _rhs_variable_pool(sys)
+    # the (component, shift) pairs of the right-hand side's variables
+    pool = sorted(
+        {(c, s) for f in sys.rhs for m in f.monomials() for c, s, _ in m.triples()}
+    )
     fp = frechet_operator(sys.rhs)
     parts: list[tuple[int, int, LatticeMonomial, int]] = []
     for i in range(n):

@@ -15,7 +15,6 @@ from typing import Iterable, NamedTuple, Sequence
 from .expr import (
     LatticeMonomial,
     LatticePoly,
-    VarRef,
     canonical_rep,
     term_key,
     total_time_derivative,
@@ -115,11 +114,11 @@ def compute_weights(sys: DdeSystem) -> WeightVector | WeightFamily:
 
 
 def power_products(
-    pool: Sequence[VarRef], w: WeightVector, bound: Fraction
+    pool: Sequence[tuple[int, int]], w: WeightVector, bound: Fraction
 ) -> tuple[LatticeMonomial, ...]:
-    """All nonnegative power products of the pool variables (the constant
-    monomial included) of rank at most bound, in the deterministic term
-    order.  The weights of the pool variables must be positive."""
+    """All nonnegative power products of the pool's (component, shift)
+    variables (the constant monomial included) of rank at most bound, in
+    the deterministic term order.  Their weights must be positive."""
     out: list[LatticeMonomial] = []
 
     def extend(i: int, pairs: tuple, budget: Fraction):
@@ -127,9 +126,10 @@ def power_products(
             out.append(LatticeMonomial(pairs))
             return
         x = pool[i]
+        wx = w[x[0]]
         e = 0
-        while e * w[x.comp] <= budget:
-            extend(i + 1, pairs + ((x, e),) if e else pairs, budget - e * w[x.comp])
+        while e * wx <= budget:
+            extend(i + 1, pairs + ((x, e),) if e else pairs, budget - e * wx)
             e += 1
 
     if bound >= 0:
@@ -147,7 +147,7 @@ def monomials_upto_rank(
         raise ValueError("rank bound must be positive")
     if any(v <= 0 for v in w):
         raise ValueError("monomial enumeration needs strictly positive weights")
-    pool = [VarRef(comp, 0) for comp in range(len(w))]
+    pool = [(comp, 0) for comp in range(len(w))]
     return tuple(m for m in power_products(pool, w, max_rank) if not m.is_constant)
 
 

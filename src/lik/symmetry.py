@@ -17,13 +17,13 @@ from .expr import (
     LatticeMonomial,
     LatticePoly,
     dir_derivative,
-    partial,
     total_time_derivative,
 )
 from .linalg import (
     DEFAULT_BRANCH_DEPTH,
     Branch,
     LinearSystem,
+    column_rows,
     fresh_tags,
     normalize_basis_vector,
     parametric_solve,
@@ -35,12 +35,18 @@ from .system import DdeSystem
 
 
 def linearization_row(p: LatticePoly, n: int) -> tuple[OpEntry, ...]:
-    """Linearization of one scalar polynomial: entry j is
-    sum_k (dp / d x_j[k]) D^k."""
-    refs = p.var_refs()
+    """Linearization of one scalar polynomial in n components: entry j is
+    sum_k (dp / d x_j[k]) D^k, read off the derivative of p along formal
+    variables x_{n+j}; each term of it is a cofactor of D^k times one
+    x_{n+j}[k], the last factor of its flat monomial."""
+    formal = [LatticePoly.var(n + j) for j in range(n)]
+    entries: list[dict[int, dict]] = [{} for _ in range(n)]
+    for m, c in dir_derivative(p, formal).terms():
+        *rest, j, k, _ = m.flat
+        entries[j - n].setdefault(k, {})[LatticeMonomial._of(tuple(rest))] = c
     return tuple(
-        OpEntry({x.shift: partial(p, x) for x in refs if x.comp == j})
-        for j in range(n)
+        OpEntry({k: LatticePoly._of(t) for k, t in sorted(e.items())})
+        for e in entries
     )
 
 
@@ -107,9 +113,10 @@ def solve_symmetry(
     for i, m in units:
         g = [LatticePoly.zero()] * n
         g[i] = LatticePoly.from_monomial(m)
-        columns.append(symmetry_residual(g, sys))
+        columns.append(enumerate(symmetry_residual(g, sys)))
     branches = parametric_solve(
-        LinearSystem.from_columns(cand.unknowns, columns), max_depth
+        LinearSystem.build(cand.unknowns, column_rows(cand.unknowns, columns)),
+        max_depth,
     )
 
     order = [normalize_tag] if normalize_tag else cand.unknowns[::-1]

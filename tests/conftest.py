@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from lik.expr import LatticeMonomial, LatticePoly, VarRef, partial
+from lik.expr import LatticeMonomial, LatticePoly
 from lik.params import ParamCoeff
 from lik.parser import parse_expression, parse_system
 from lik.scaling import compute_weights
@@ -73,12 +73,31 @@ def M(text: str) -> LatticeMonomial:
 # -- derivative oracles -------------------------------------------------------
 
 
+def variables(p: LatticePoly) -> list[tuple[int, int]]:
+    """The (component, shift) pairs of the variables of p, sorted."""
+    return sorted({(c, s) for m in p.monomials() for c, s, _ in m.triples()})
+
+
+def partial(p: LatticePoly, comp: int, shift: int) -> LatticePoly:
+    """The partial derivative of p by the variable x = comp[shift], with the
+    Laurent power rule: each term c * x^e * rest gives e*c * x^(e-1) * rest."""
+    out = LatticePoly.zero()
+    for m, c in p.terms():
+        factors = {(i, k): e for i, k, e in m.triples()}
+        e = factors.pop((comp, shift), 0)
+        if e:
+            factors[comp, shift] = e - 1
+            rest = LatticeMonomial(factors.items())
+            out = out + LatticePoly.from_monomial(rest, c * e)
+    return out
+
+
 def dir_derivative_oracle(p: LatticePoly, directions) -> LatticePoly:
     """The derivative of p along component directions by its definition:
     the sum over the variables x = (i, k) of p of (dp/dx) * D**k(directions[i])."""
     out = LatticePoly.zero()
-    for x in p.var_refs():
-        out = out + partial(p, x) * directions[x.comp].shifted(x.shift)
+    for comp, shift in variables(p):
+        out = out + partial(p, comp, shift) * directions[comp].shifted(shift)
     return out
 
 
@@ -114,9 +133,9 @@ def substitute_params(p: LatticePoly, assignment) -> LatticePoly:
 import hypothesis.strategies as st  # noqa: E402
 
 
-def var_refs(n_comp=2, max_shift=3):
-    return st.builds(
-        VarRef,
+def shifted_variables(n_comp=2, max_shift=3):
+    """(component, shift) pairs."""
+    return st.tuples(
         st.integers(0, n_comp - 1),
         st.integers(-max_shift, max_shift),
     )
@@ -126,10 +145,14 @@ def monomials(n_comp=2, max_shift=3, max_exp=3, laurent=True, max_vars=3):
     lo = -max_exp if laurent else 1
     exps = st.integers(lo, max_exp).filter(bool)
     return st.lists(
-        st.tuples(var_refs(n_comp, max_shift), exps),
+        st.tuples(shifted_variables(n_comp, max_shift), exps),
         min_size=0,
         max_size=max_vars,
     ).map(LatticeMonomial)
+
+
+# parameter polynomials in a, b, to multiply test polynomials by
+PARAM_COEFFS = st.sampled_from(["1", "a", "-2*b", "a*b - 1", "(1/3)*a^2"])
 
 
 def rationals():

@@ -6,23 +6,24 @@ import hypothesis.strategies as st
 from conftest import (
     M,
     P,
+    PARAM_COEFFS,
     PARAM_TODA,
     TODA,
     UV,
     VOLTERRA,
     dir_derivative_oracle,
     monomials,
+    partial,
     polys,
+    variables,
 )
 from lik.expr import (
     LatticeMonomial,
     LatticePoly,
-    VarRef,
     canonical_offset,
     canonical_rep,
     delta_decompose,
     dir_derivative,
-    partial,
     render_poly,
     term_key,
     total_time_derivative,
@@ -112,14 +113,15 @@ class TestFlatMonomial:
     def test_exponent_degree_and_partial(self, pairs, x):
         m, d = LatticeMonomial(pairs), ref(pairs)
         assert m.degree() == sum(d.values())
-        assert LatticePoly.from_monomial(m).var_refs() == sorted(d)
+        assert variables(LatticePoly.from_monomial(m)) == sorted(d)
+        exponents = {(c, s): e for c, s, e in m.triples()}
         # a variable drawn at random, then each variable of the monomial
-        for x in [VarRef(*x), *map(VarRef._make, d)]:
+        for x in [x, *d]:
             e = d.get(x, 0)
-            assert m.exponent(x) == e
+            assert exponents.get(x, 0) == e
             rest = LatticeMonomial._of(ref_flat(ref([*d.items(), (x, -1)])))
             expected = LatticePoly.from_monomial(rest, e) if e else LatticePoly.zero()
-            assert partial(LatticePoly.from_monomial(m), x) == expected
+            assert partial(LatticePoly.from_monomial(m), *x) == expected
 
 
 class TestShift:
@@ -143,17 +145,19 @@ class TestShift:
 
 
 class TestPartial:
+    """The test oracle's partial derivative, which dir_derivative_oracle sums."""
+
     def test_power_rule(self):
-        assert partial(P("u[0]^3"), VarRef(0, 0)) == P("3*u[0]^2")
+        assert partial(P("u[0]^3"), 0, 0) == P("3*u[0]^2")
 
     def test_product(self):
-        assert partial(P("u[0]*v[-1]"), VarRef(1, -1)) == P("u[0]")
+        assert partial(P("u[0]*v[-1]"), 1, -1) == P("u[0]")
 
     def test_laurent_rule(self):
-        assert partial(P("1/v[0]"), VarRef(1, 0)) == -P("v[0]^-2")
+        assert partial(P("1/v[0]"), 1, 0) == -P("v[0]^-2")
 
     def test_absent_variable(self):
-        assert partial(P("u[0]"), VarRef(1, 2)).is_zero
+        assert partial(P("u[0]"), 1, 2).is_zero
 
 
 class TestTotalTimeDerivative:
@@ -184,7 +188,6 @@ class TestTotalTimeDerivative:
 # Dt is memoized per shift-canonical monomial on the system; every call
 # must still equal the sum of partials along the right-hand sides.
 CACHED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
-PARAM_COEFFS = st.sampled_from(["1", "a", "-2*b", "a*b - 1", "(1/3)*a^2"])
 
 
 class TestCachedTimeDerivative:

@@ -2,8 +2,9 @@
 command line, in process.
 
 Hypothesis writes system files, density and symmetry certificates and
-operator files from short token sequences, and flag values from short
-token joins, and runs them through ``lik.cli.main``.  Whatever the input,
+operator files from short token sequences, operator files also from
+longer ones (up to 15 tokens), and flag values from short token joins,
+and runs them through ``lik.cli.main``.  Whatever the input,
 the command must return one of the documented exit codes and never raise;
 an exit 1 must say why, as a positioned parse error or a usage error.  The
 search is derandomized and keeps no example database, so the test is
@@ -34,6 +35,9 @@ EXIT_1_MESSAGE = re.compile(r"parse error: \d+:\d+: |error: ")
 expressions = st.lists(st.sampled_from(TOKENS), min_size=1, max_size=7).map(
     " ".join
 )
+long_expressions = st.lists(
+    st.sampled_from(TOKENS), min_size=8, max_size=15
+).map(" ".join)
 
 
 @pytest.fixture(scope="module")
@@ -88,8 +92,10 @@ def test_symmetry_certificates(workdir, component):
     )
 
 
-@FUZZ
-@given(expressions)
+# operator entries nest products, powers and inverse differences, so they
+# also get longer token sequences (8 to 15 tokens), with more examples
+@settings(FUZZ, max_examples=900)
+@given(st.one_of(expressions, long_expressions))
 def test_operator_files(workdir, entry):
     _run(
         workdir,

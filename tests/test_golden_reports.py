@@ -31,6 +31,8 @@ FREE_SCALE = "tests/golden/free_scale.dde"
 TODA_OPERATOR = "tests/golden/toda_operator.txt"
 BROKEN_OPERATOR = "tests/golden/broken_operator.txt"
 BOGOYAVLENSKII = "perfbench/systems/bogoyavlenskii.dde"
+# F' of a squared factor, u' = u[0]^2*(u[1] - u[-1]), with w(u) = 1/2
+MOD_VOLTERRA = "perfbench/systems/modified_volterra.dde"
 # two parameters: many pivots are products of earlier nonzero conditions
 TWO_PARAM_BOGOYAVLENSKII = "tests/golden/bogoyavlenskii_two_params.dde"
 
@@ -47,6 +49,11 @@ CASES = [
         ("densities", "--max-rank", "5", BOGOYAVLENSKII),
     ),
     ("volterra-recursion", 0, ("recursion", "systems/volterra.dde")),
+    (
+        "modified-volterra-recursion-5",
+        0,
+        ("recursion", "--levels", "5", MOD_VOLTERRA),
+    ),
     ("broken-toda-recursion", 2, ("recursion", "systems/broken_toda.dde")),
     # the tall 1302 x 27 coefficient system of nullity 0
     (

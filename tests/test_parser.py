@@ -1,10 +1,14 @@
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from conftest import P, UV
-from lik.expr import render_poly
+from lik.expr import LatticePoly, render_poly
+from lik.operators import OpEntry
 from lik.parser import (
     ParseError,
     parse_expression,
+    parse_operator_entry,
     parse_operator_matrix,
     parse_system,
 )
@@ -104,3 +108,80 @@ R[2][2] = u[1]*I + v[0]*(u[1] - u[0])*S*(1/v[0])
     def test_operator_symbols_rejected_in_expressions(self):
         with pytest.raises(ParseError):
             P("u[0] + I")
+
+
+# -- one value type: a polynomial p is the operator p*I -----------------------
+
+# the expression grammar's tokens, without the operator symbols I, D and S
+PLAIN_TOKENS = [
+    "u[0]", "u[1]", "v[-1]", "u", "a", "b", "^", "/", "*", "+", "-", "(", ")",
+    "[", "]", "0", "1", "2", "-1",
+]
+# token strings, mostly malformed, and well-formed nested expressions
+plain_expressions = st.one_of(
+    st.lists(st.sampled_from(PLAIN_TOKENS), min_size=1, max_size=12).map(" ".join),
+    st.recursive(
+        st.sampled_from(["u[0]", "u[1]", "v[-1]", "a", "0", "1", "2"]),
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map(
+                lambda t: f"({t[0]} {t[1]} {t[2]})"
+            ),
+            st.tuples(inner, st.sampled_from(["2", "-1", "0"])).map(
+                lambda t: f"{t[0]}^{t[1]}"
+            ),
+        ),
+        max_leaves=6,
+    ),
+)
+
+
+def _outcome(parse, text):
+    """The parsed value, or the message and position of the parse error."""
+    try:
+        return parse(text, UV, ("a",))
+    except ParseError as exc:
+        return exc.message, exc.line, exc.col
+
+
+class TestOneValueType:
+    @settings(max_examples=400)
+    @given(plain_expressions)
+    def test_operator_mode_agrees_on_plain_input(self, text):
+        entry = _outcome(parse_operator_entry, text)
+        poly = _outcome(parse_expression, text)
+        if isinstance(poly, LatticePoly):
+            assert entry == OpEntry.local(poly)
+        else:
+            assert entry == poly
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("I^-1", "1"), ("u[0]/I", "u[0]"), ("(u[0]*I)^-1", "u[0]^-1")],
+    )
+    def test_multiplication_operators_invert(self, text, expected):
+        assert parse_operator_entry(text, UV) == OpEntry.local(P(expected))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("(u[0]*D)^-1", "1:9: negative operator powers only for D"),
+            ("u[0]/D", "1:6: cannot divide by an operator"),
+            ("u[0]/S", "1:6: cannot divide by an operator"),
+            (
+                "S*S",
+                "1:3: composition of two nonlocal operator factors has no "
+                "normal form in this algebra",
+            ),
+            ("u[0]/(u[0] + 1)", "1:6: division only by rationals or single monomials"),
+            ("(u[0] + 1)^-1", "1:11: negative powers need a single-term divisor"),
+            ("a^-1", "1:2: cannot invert a parametric coefficient"),
+        ],
+    )
+    def test_rejections(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_operator_entry(text, UV, ("a",))
+        assert str(err.value) == message
+        if not {"D", "S"} & set(text):
+            with pytest.raises(ParseError) as err:
+                parse_expression(text, UV, ("a",))
+            assert str(err.value) == message

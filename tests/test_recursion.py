@@ -283,7 +283,7 @@ class TestOperatorIdentityOnRandomProbes:
         # must vanish on arbitrary inputs, not only on symmetries
         import random
 
-        from lik.expr import LatticeMonomial, LatticePoly, VarRef
+        from lik.expr import LatticeMonomial, LatticePoly
         from lik.symmetry import frechet_operator
 
         out = solve_recursion(toda, toda_w, toda_chain)
@@ -299,7 +299,7 @@ class TestOperatorIdentityOnRandomProbes:
             acc = LatticePoly.zero()
             for _ in range(rng.randint(1, 3)):
                 pairs = [
-                    (VarRef(rng.randint(0, 1), rng.randint(-2, 2)), rng.randint(1, 2))
+                    ((rng.randint(0, 1), rng.randint(-2, 2)), rng.randint(1, 2))
                     for _ in range(rng.randint(1, 2))
                 ]
                 acc = acc + LatticePoly.from_monomial(

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 
 from conftest import M
-from lik.expr import LatticeMonomial, LatticePoly, VarRef
+from lik.expr import LatticeMonomial, LatticePoly
 from lik.parser import parse_system
 from lik.scaling import (
     ScalingError,
@@ -95,7 +95,7 @@ def weighted_systems(draw):
     for _ in range(n):
         p = LatticePoly.zero()
         for pairs in draw(st.lists(monomial, max_size=3)):
-            m = LatticeMonomial((VarRef(c, k), e) for c, k, e in pairs)
+            m = LatticeMonomial(((c, k), e) for c, k, e in pairs)
             p = p + LatticePoly.from_monomial(m)
         rhs.append(p)
     pins = draw(
@@ -196,9 +196,7 @@ class TestMonomialsUptoRank:
             r = eu * toda_w[0] + ev * toda_w[1]
             if 0 < r <= bound:
                 brute.add(
-                    LatticeMonomial(
-                        ((VarRef(0, 0), eu), (VarRef(1, 0), ev))
-                    )
+                    LatticeMonomial((((0, 0), eu), ((1, 0), ev)))
                 )
         assert got == brute
 

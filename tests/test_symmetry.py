@@ -1,14 +1,26 @@
 from fractions import Fraction
 
+import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from conftest import M, P, compose, param_coefficient, polys
+from conftest import (
+    M,
+    P,
+    PARAM_COEFFS,
+    compose,
+    param_coefficient,
+    partial,
+    polys,
+    variables,
+)
 from lik.expr import LatticePoly, dir_derivative, render_poly
+from lik.operators import OpEntry
 from lik.params import ParamCoeff
 from lik.parser import parse_system
 from lik.symmetry import (
     build_symmetry_candidate,
     frechet_operator,
+    linearization_row,
     solve_symmetry,
     symmetry_residual,
 )
@@ -27,10 +39,9 @@ def eps_first_order(f: list[LatticePoly], g: list[LatticePoly]) -> list[LatticeP
     out = []
     for fi in f:
         mapping = {}
-        for x in fi.var_refs():
-            mapping[x] = (
-                LatticePoly.var(x.comp, x.shift)
-                + g[x.comp].shifted(x.shift) * eps
+        for comp, shift in variables(fi):
+            mapping[comp, shift] = (
+                LatticePoly.var(comp, shift) + g[comp].shifted(shift) * eps
             )
         out.append(param_coefficient(compose(fi, mapping), "eps", 1))
     return out
@@ -105,6 +116,27 @@ class TestFrechetOperator:
         (got,) = op.apply([g])
         assert got.is_local
         assert got.local == dir_derivative(f, [g])
+
+
+class TestLinearizationRow:
+    @settings(max_examples=200)
+    @given(
+        case=st.integers(1, 3).flatmap(
+            lambda n: st.tuples(st.just(n), polys(n_comp=n, max_shift=3))
+        ),
+        k=PARAM_COEFFS,
+    )
+    def test_entries_are_the_partials(self, case, k):
+        # entry j of F' is sum_k (dp / d x_j[k]) D^k, for Laurent p with
+        # parametric coefficients in one to three components
+        n, p = case
+        p = p * P(k, ("a", "b")) + p.shifted(1)
+        row = linearization_row(p, n)
+        assert len(row) == n
+        for j, entry in enumerate(row):
+            partials = {s: partial(p, c, s) for c, s in variables(p) if c == j}
+            expected = {s: d for s, d in partials.items() if not d.is_zero}
+            assert entry == OpEntry(expected)
 
 
 class TestCandidates:
