@@ -14,16 +14,20 @@ residual
 
     R'[F] + R o F' - F' o R
 
-probed against each known symmetry.  The survivor is verified by
-generating two further symmetries, which must come out free of formal
-antidifference terms and satisfy the symmetry identity exactly.
+probed against each known symmetry.  They restrict the solution space,
+one operator per unknown at first, pair by pair: the generation family
+first, then the probes on only the operators that survive it.  The space
+left is the intersection of the families' kernels, whatever the order.
+The survivor is verified by generating two further symmetries, which
+must come out free of formal antidifference terms and satisfy the
+symmetry identity exactly.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .conservation import build_density_candidate, solve_density
 from .expr import LatticeMonomial, LatticePoly, delta_decompose, term_key
@@ -51,6 +55,8 @@ from .symmetry import (
 from .system import DdeSystem
 
 RankMatrix = tuple[tuple[Fraction, ...], ...]
+# Staged-solve space: (vector over candidate tags and scale unknowns, operator)
+Space = list[tuple[dict[str, ParamCoeff], DiffOperator]]
 
 # How many symmetry levels recursion_pipeline computes before the operator.
 DEFAULT_LEVELS = 3
@@ -286,21 +292,44 @@ def _slots(exprs: Sequence[ExtendedExpr]):
             yield (i, 1, term_key(m)), cof
 
 
-def _constraint_rows(
-    cand: OperatorCandidate,
-    ops: Sequence[DiffOperator],
-    g: Sequence[LatticePoly],
-    fixed: dict[str, list[ExtendedExpr]] | None = None,
+def _restriction_rows(
+    columns: Iterable[Sequence[ExtendedExpr]],
 ) -> list[dict[str, ParamCoeff]]:
-    """Rows of one constraint family: a column per unknown, holding its
-    operator in ops applied to g, then the fixed columns.  Each operator
-    is applied just before its column is read."""
-    fixed = fixed or {}
-    applied = (op.apply(list(g)) for op in ops)
-    return column_rows(
-        cand.unknowns + tuple(fixed),
-        map(_slots, itertools.chain(applied, fixed.values())),
-    )
+    """Rows of one restriction: one column of applied expressions per
+    space element, named by position and read as it is made."""
+    return column_rows(map(str, itertools.count()), map(_slots, columns))
+
+
+def _restrict(space: Space, columns: Iterable[Sequence[ExtendedExpr]]) -> Space:
+    """The combinations of the space's elements whose columns sum to zero:
+    one element per nullspace basis vector y, its vector and operator
+    the sums of y_c times those of element c."""
+    tags = tuple(map(str, range(len(space))))
+    try:
+        outcome = nullspace(LinearSystem.build(tags, _restriction_rows(columns)))
+    except LinearSolveError:
+        raise _NoOperator(
+            "coefficient-determination",
+            "parameterized coefficient system: pin the system "
+            "parameters to rationals first",
+        ) from None
+    if outcome.dimension == 0:
+        raise _NoOperator(
+            "generation",
+            "the generation and commutator constraints admit only the "
+            "zero operator",
+        )
+    out = []
+    for y in outcome.basis:
+        vec: dict[str, ParamCoeff] = {}
+        op = DiffOperator.zero(space[0][1].n)
+        for tag, k in y.items():
+            v, o = space[int(tag)]
+            for t, x in v.items():
+                vec[t] = vec.get(t, ParamCoeff.zero()) + x * k
+            op = op + o.scale(k)
+        out.append((vec, op))
+    return out
 
 
 def solve_recursion(
@@ -350,44 +379,28 @@ def _determine(
         )
 
     fp = frechet_operator(sys.rhs)
-    commutator_parts = [identity_residual(op, sys, fp) for op in cand.basis]
-
-    unknowns = cand.unknowns
-    rows: list[dict[str, ParamCoeff]] = []
-    probed = 0  # symmetries whose identity-probe rows are in rows
+    space = [({t: ParamCoeff.one()}, op) for t, op in zip(cand.unknowns, cand.basis)]
+    probed = 0  # symmetries whose identity probes restricted the space
     for k, (ga, gb) in enumerate(pairs):
         # pair k adds R Ga - mu Gb = 0, the scale unknown mu entering with
-        # -Gb, and the probes on every symmetry up to Gb
-        mu = f"mu{k + 1}"
-        unknowns += (mu,)
+        # -Gb, then the probes on every symmetry up to Gb
         minus_gb = [ExtendedExpr(-c) for c in gb.components]
-        rows.extend(_constraint_rows(cand, cand.basis, ga.components, {mu: minus_gb}))
+        applied = (op.apply(list(ga.components)) for _, op in space)
+        scale = ({f"mu{k + 1}": ParamCoeff.one()}, DiffOperator.zero(sys.n))
+        space = _restrict(space + [scale], itertools.chain(applied, [minus_gb]))
         for g in symmetries[probed : k + gap + 1]:
-            rows.extend(_constraint_rows(cand, commutator_parts, g.components))
+            probes = (identity_residual(op, sys, fp) for _, op in space)
+            space = _restrict(space, (p.apply(list(g.components)) for p in probes))
         probed = k + gap + 1
-        try:
-            outcome = nullspace(LinearSystem.build(unknowns, rows))
-        except LinearSolveError:
-            raise _NoOperator(
-                "coefficient-determination",
-                "parameterized coefficient system: pin the system "
-                "parameters to rationals first",
-            ) from None
-        if outcome.dimension == 0:
-            raise _NoOperator(
-                "generation",
-                "the generation and commutator constraints admit only the "
-                "zero operator",
-            )
-        if outcome.dimension == 1:
+        if len(space) == 1:
             break
     else:
         raise _NoOperator(
             "coefficient-determination",
-            f"solution space still {outcome.dimension}-dimensional after "
+            f"solution space still {len(space)}-dimensional after "
             "using every supplied symmetry pair",
         )
-    scaled = normalize_basis_vector(outcome.basis[0], [("mu1", 1)])
+    scaled = normalize_basis_vector(space[0][0], [("mu1", 1)])
     if scaled is None:
         raise _NoOperator(
             "generation",

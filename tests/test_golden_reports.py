@@ -43,6 +43,12 @@ CASES = [
     ("toda-symmetries-4", 0, ("symmetries", "--levels", "4", "systems/toda.dde")),
     ("toda-recursion", 0, ("recursion", "systems/toda.dde")),
     ("toda-recursion-4", 0, ("recursion", "--levels", "4", "systems/toda.dde")),
+    # gap 2: the first pair probes G(1) to G(3); the space empties at G(2)
+    (
+        "toda-recursion-gap2",
+        2,
+        ("recursion", "--gap", "2", "--levels", "5", "systems/toda.dde"),
+    ),
     (
         "bogoyavlenskii-densities-5",
         0,

@@ -22,6 +22,7 @@ from lik.symmetry import (
     SymmetryResult,
     build_symmetry_candidate,
     frechet_operator,
+    level_ranks,
     linearization_row,
     solve_symmetry,
     symmetry_residual,
@@ -312,15 +313,29 @@ class TestOperatorIdentityOnRandomProbes:
             assert all(x.is_zero for x in res)
 
 
-# -- streamed row assembly against the all-columns-at-once reference ---------
+# -- row assembly and the staged solve against all-at-once references -------
 
+import functools  # noqa: E402
+import itertools  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import lik.recursion as recursion  # noqa: E402
 from lik.expr import LatticePoly, term_key  # noqa: E402
+from lik.linalg import (  # noqa: E402
+    DEFAULT_BRANCH_DEPTH,
+    LinearSolveError,
+    LinearSystem,
+    column_rows,
+    normalize_basis_vector,
+    nullspace,
+)
 from lik.operators import ExtendedExpr  # noqa: E402
+from lik.params import ParamCoeff  # noqa: E402
 from lik.parser import parse_system  # noqa: E402
 from lik.recursion import (  # noqa: E402
-    _constraint_rows,
+    _NoOperator,
+    _restriction_rows,
+    _slots,
     build_candidate,
     identity_residual,
 )
@@ -329,16 +344,17 @@ from lik.scaling import compute_weights  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def reference_constraint_rows(cand, ops, g, fixed=None):
-    """Every operator applied to g first, all columns alive together; then
-    per component the local slot and one slot per antidifference monomial
-    of any column in term order, one row per monomial of a slot in term
-    order."""
-    applied = {tag: op.apply(list(g)) for tag, op in zip(cand.unknowns, ops)}
-    applied.update(fixed or {})
+def reference_restriction_rows(ops, g, fixed=None):
+    """Every operator applied to g first, all columns alive together, named
+    by position, the fixed column last; then per component the local slot
+    and one slot per antidifference monomial of any column in term order,
+    one row per monomial of a slot in term order."""
+    applied = {str(c): op.apply(list(g)) for c, op in enumerate(ops)}
+    if fixed is not None:
+        applied[str(len(applied))] = fixed
     zero = LatticePoly.zero()
     rows = []
-    for i in range(cand.n):
+    for i in range(len(g)):
         keys = sorted(
             {m for exprs in applied.values() for m in exprs[i].thetas}, key=term_key
         )
@@ -374,18 +390,194 @@ def test_streamed_rows_match_the_all_at_once_assembly(path):
     fp = frechet_operator(system.rhs)
     parts = [identity_residual(op, system, fp) for op in cand.basis]
     # the generation family, with the scale unknown's fixed column
-    fixed = {"mu1": [ExtendedExpr(-c) for c in gb.components]}
-    rows = _constraint_rows(cand, cand.basis, ga.components, fixed)
-    assert rows and rows == reference_constraint_rows(
-        cand, cand.basis, ga.components, fixed
+    minus_gb = [ExtendedExpr(-c) for c in gb.components]
+
+    def columns(ops, g, fixed=()):
+        return itertools.chain((op.apply(list(g)) for op in ops), fixed)
+
+    rows = _restriction_rows(columns(cand.basis, ga.components, [minus_gb]))
+    assert rows and rows == reference_restriction_rows(
+        cand.basis, ga.components, minus_gb
     )
     # the defining-identity probes on each symmetry
     for g in chain:
-        rows = _constraint_rows(cand, parts, g.components)
-        assert rows and rows == reference_constraint_rows(cand, parts, g.components)
+        rows = _restriction_rows(columns(parts, g.components))
+        assert rows and rows == reference_restriction_rows(parts, g.components)
     # on symmetries the nonlocal columns leave no antidifference term; off
     # them they do, so the antidifference slots are keyed and ordered too
     g = [LatticePoly.var(i, 1, 2) + LatticePoly.var(i, 0) for i in range(system.n)]
     assert any(e.thetas for op in cand.basis for e in op.apply(g))
-    rows = _constraint_rows(cand, cand.basis, g, fixed)
-    assert rows == reference_constraint_rows(cand, cand.basis, g, fixed)
+    rows = _restriction_rows(columns(cand.basis, g, [minus_gb]))
+    assert rows == reference_restriction_rows(cand.basis, g, minus_gb)
+
+
+def _all_columns_rows(cand, ops, g, fixed=None):
+    """Rows of one constraint family over every candidate unknown at once:
+    a column per unknown, holding its operator in ops applied to g, then
+    the fixed columns."""
+    fixed = fixed or {}
+    applied = (op.apply(list(g)) for op in ops)
+    return column_rows(
+        cand.unknowns + tuple(fixed),
+        map(_slots, itertools.chain(applied, fixed.values())),
+    )
+
+
+def reference_determine(sys, w, symmetries, gap, max_depth):
+    """The all-at-once solve: the identity residual of every candidate
+    operator, and per pair one nullspace of every row so far."""
+    if len(symmetries) < gap + 1:
+        raise _NoOperator(
+            "symmetry-chain",
+            f"need at least {gap + 1} symmetries for gap {gap}, "
+            f"got {len(symmetries)}",
+        )
+    pairs = [
+        (symmetries[k], symmetries[k + gap])
+        for k in range(len(symmetries) - gap)
+    ]
+    rm = rank_matrix(*pairs[0])
+    if any(rank_matrix(ga, gb) != rm for ga, gb in pairs[1:]):
+        raise _NoOperator(
+            "symmetry-chain", "inconsistent rank gaps between supplied symmetries"
+        )
+    cand = recursion.build_candidate(sys, w, rm, symmetries, max_depth)
+    if not cand.unknowns:
+        raise _NoOperator(
+            "candidate", "empty operator candidate at the required ranks"
+        )
+    fp = frechet_operator(sys.rhs)
+    commutator_parts = [identity_residual(op, sys, fp) for op in cand.basis]
+    unknowns = cand.unknowns
+    rows = []
+    probed = 0
+    for k, (ga, gb) in enumerate(pairs):
+        mu = f"mu{k + 1}"
+        unknowns += (mu,)
+        minus_gb = [ExtendedExpr(-c) for c in gb.components]
+        rows.extend(_all_columns_rows(cand, cand.basis, ga.components, {mu: minus_gb}))
+        for g in symmetries[probed : k + gap + 1]:
+            rows.extend(_all_columns_rows(cand, commutator_parts, g.components))
+        probed = k + gap + 1
+        try:
+            outcome = nullspace(LinearSystem.build(unknowns, rows))
+        except LinearSolveError:
+            raise _NoOperator(
+                "coefficient-determination",
+                "parameterized coefficient system: pin the system "
+                "parameters to rationals first",
+            ) from None
+        if outcome.dimension == 0:
+            raise _NoOperator(
+                "generation",
+                "the generation and commutator constraints admit only the "
+                "zero operator",
+            )
+        if outcome.dimension == 1:
+            break
+    else:
+        raise _NoOperator(
+            "coefficient-determination",
+            f"solution space still {outcome.dimension}-dimensional after "
+            "using every supplied symmetry pair",
+        )
+    scaled = normalize_basis_vector(outcome.basis[0], [("mu1", 1)])
+    if scaled is None:
+        raise _NoOperator(
+            "generation",
+            "no operator maps the first symmetry to the second (scale "
+            "coefficient vanishes)",
+        )
+    _, solution = scaled
+    coeffs = {
+        tag: solution.get(tag, ParamCoeff.zero()).as_fraction()
+        for tag in cand.unknowns
+    }
+    return coeffs, cand.assemble(coeffs), fp
+
+
+def reference_solve(sys, w, symmetries, gap=1):
+    """solve_recursion with the all-at-once solve in place of the staged
+    one."""
+    try:
+        coeffs, operator, fp = reference_determine(
+            sys, w, symmetries, gap, DEFAULT_BRANCH_DEPTH
+        )
+    except _NoOperator as exc:
+        return RecursionOutcome(None, {}, (), (), *exc.args)
+    return _verify(sys, operator, coeffs, symmetries, fp, gap)
+
+
+# Toda with a in one equation only (see test_parametric_coefficient_system_reported)
+PARAM_TODA_ONE_EQUATION = "params: a\nu' = a*v[-1] - a*v[0]\nv' = v[0]*(u[0] - u[1])"
+
+
+@functools.cache
+def _chain(source, levels):
+    """The system, its weights and its first symmetry at each level up to
+    levels; a conditional one counts, so that the solver also meets the
+    parameter rows of the two-parameter Bogoyavlenskii lattice."""
+    text = source if "\n" in source else (ROOT / source).read_text()
+    system = parse_system(text)
+    w = compute_weights(system)
+    chain = []
+    for level in range(1, levels + 1):
+        cand = build_symmetry_candidate(system, w, level_ranks(w, level))
+        results, _ = solve_symmetry(cand, system, w)
+        chain.append(results[0])
+    return system, w, chain
+
+
+@pytest.mark.parametrize(
+    "source, levels, gap",
+    [
+        (path, levels, 1)
+        for path in (
+            "systems/toda.dde",
+            "systems/volterra.dde",
+            "perfbench/systems/modified_volterra.dde",
+        )
+        for levels in (2, 3, 4)
+    ]
+    + [
+        ("perfbench/systems/bogoyavlenskii.dde", 2, 1),
+        ("perfbench/systems/bogoyavlenskii.dde", 3, 1),
+        ("tests/golden/scaled_volterra.dde", 3, 1),
+        ("tests/golden/bogoyavlenskii_two_params.dde", 3, 1),
+        (PARAM_TODA_ONE_EQUATION, 3, 1),
+        ("systems/toda.dde", 3, 2),
+        ("systems/volterra.dde", 3, 2),
+    ],
+)
+def test_staged_solve_matches_the_all_at_once_reference(source, levels, gap):
+    system, w, chain = _chain(source, levels)
+    assert solve_recursion(system, w, chain, gap=gap) == reference_solve(
+        system, w, chain, gap
+    )
+
+
+def test_duplicated_unknown_leaves_a_two_dimensional_space(
+    monkeypatch, toda, toda_w, toda_chain
+):
+    # a basis operator repeated under a fresh tag: their difference solves
+    # every family, so the space never drops below 2 over the two pairs
+    build = recursion.build_candidate
+
+    def duplicated(*args):
+        cand = build(*args)
+        return cand._replace(
+            unknowns=cand.unknowns + ("dup",), basis=cand.basis + cand.basis[:1]
+        )
+
+    monkeypatch.setattr(recursion, "build_candidate", duplicated)
+    expected = RecursionOutcome(
+        None,
+        {},
+        (),
+        (),
+        "coefficient-determination",
+        "solution space still 2-dimensional after using every supplied "
+        "symmetry pair",
+    )
+    assert solve_recursion(toda, toda_w, toda_chain) == expected
+    assert reference_solve(toda, toda_w, toda_chain) == expected
