@@ -48,7 +48,6 @@ from .recursion import (
 )
 from .scaling import (
     ScalingError,
-    WeightFamily,
     WeightVector,
     achievable_ranks,
     compute_weights,
@@ -311,17 +310,6 @@ def _read_text(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
-def _resolve_weights(sys_: DdeSystem) -> WeightVector:
-    w = compute_weights(sys_)
-    if isinstance(w, WeightFamily):
-        free = ", ".join(sys_.names[i] for i in w.free_components)
-        raise ScalingError(
-            "weights are underdetermined: pin a free component with "
-            f"--weight (free: {free})"
-        )
-    return w
-
-
 def _branch_depth(args) -> int:
     depth, source = args.branch_depth, "--branch-depth"
     if depth is None:
@@ -579,7 +567,7 @@ def main(argv: list[str] | None = None) -> int:
         sys_ = _load_system(args.file, args.weight)
         report = Report(args.command, sys_)
         try:
-            w = _resolve_weights(sys_)
+            w = compute_weights(sys_)
         except ScalingError:
             if args.command != "verify":  # verification needs no weights
                 raise

@@ -259,9 +259,6 @@ class LatticePoly:
             return NotImplemented
         return self._terms == other._terms
 
-    def __hash__(self) -> int:
-        return hash(tuple((m, c) for m, c in self.items()))
-
     def __repr__(self) -> str:
         return f"LatticePoly<{len(self._terms)} terms>"
 

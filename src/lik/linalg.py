@@ -6,9 +6,11 @@ polynomial slots of the defining identity it multiplies, each slot named
 by a sortable key, and every monomial of a slot gives one row.  A
 LinearSystem is in compressed sparse row form, each row's nonzero entries
 and their unknown indices; the solver reads it as sparse {column: entry}
-rows, one at a time where it can, and works on those throughout.  One solver,
-parametric_solve, handles every system; a parameter-free one comes back
-as a single unconditional branch.
+rows, one at a time where it can, and works on those throughout.  Two
+entry points stay, as the benchmark's tracer times each by name:
+parametric_solve handles every system, a parameter-free one as a single
+unconditional branch, and nullspace a system that is rational once its
+rows are normalized (the weights and the recursion restrictions).
 
 Every matrix whose entries are all rational -- a parameter-free system,
 or a branch whose parameters have been substituted away -- is solved by

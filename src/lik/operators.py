@@ -205,11 +205,9 @@ class OpEntry:
             for b, cof_b in other.locals.items():
                 accumulate(loc, a + b, cof * cof_b.shifted(a))
             for m, left in other.nonlocals.items():
-                base = cof * left.shifted(a)
-                accumulate(nl, m, base)
-                for sign, j in shift_correction(a):
-                    term = LatticePoly.from_monomial(m.shifted(j), sign)
-                    accumulate(loc, j, base * term)
+                # D^a (D-I)^-1 m = (D-I)^-1 m[a] D^a
+                right = LatticePoly.from_monomial(m.shifted(a))
+                _add_sandwich(loc, nl, cof * left.shifted(a), right, a)
         for m, left in self.nonlocals.items():
             if other.nonlocals:
                 raise ValueError(

@@ -301,18 +301,6 @@ class ParamCoeff:
             acc[rest] = acc.get(rest, 0) + c
         return ParamCoeff(acc)
 
-    def substitute(self, assignment: Mapping[str, "ParamCoeff"]) -> "ParamCoeff":
-        out = ParamCoeff.zero()
-        for m, c in self._terms.items():
-            piece = ParamCoeff._of({_ONE_PM: c})
-            for n, e in m:
-                if n in assignment:
-                    piece = piece * assignment[n] ** e
-                else:
-                    piece = piece * ParamCoeff._of({((n, e),): 1})
-            out = out + piece
-        return out
-
     def substitute_cleared(
         self, name: str, num: "ParamCoeff", den: "ParamCoeff", clear_to: int
     ) -> "ParamCoeff":

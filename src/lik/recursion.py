@@ -14,13 +14,15 @@ residual
 
     R'[F] + R o F' - F' o R
 
-probed against each known symmetry.  They restrict the solution space,
-one operator per unknown at first, pair by pair: the generation family
-first, then the probes on only the operators that survive it.  The space
-left is the intersection of the families' kernels, whatever the order.
-The survivor is verified by generating two further symmetries, which
-must come out free of formal antidifference terms and satisfy the
-symmetry identity exactly.
+probed against each known symmetry after the first: on a symmetry G it
+is Dt(R G) - F'[R G], zero once R G(1) = mu G(1 + gap), as the generation
+family forces.  They restrict the solution space, one operator per unknown
+at first, pair by pair: the generation family first, then the probes on
+only the operators that survive it.  The space left is the intersection
+of the families' kernels, whatever the order; its one element is the
+operator.  The survivor is verified by probing every known symmetry and
+generating two further ones, which must come out free of formal
+antidifference terms and satisfy the symmetry identity exactly.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .linalg import (
     LinearSystem,
     column_rows,
     fresh_tags,
-    normalize_basis_vector,
     nullspace,
 )
 from .operators import DiffOperator, ExtendedExpr, OpEntry
@@ -70,16 +71,8 @@ def rank_matrix(ga: SymmetryResult, gb: SymmetryResult) -> RankMatrix:
 
 
 class OperatorCandidate(NamedTuple):
-    n: int
     unknowns: tuple[str, ...]
     basis: tuple[DiffOperator, ...]  # one single-term operator per unknown
-
-    def assemble(self, values: dict[str, Fraction]) -> DiffOperator:
-        out = DiffOperator.zero(self.n)
-        for tag, op in zip(self.unknowns, self.basis):
-            if values[tag]:
-                out = out + op.scale(values[tag])
-        return out
 
 
 def build_r0(
@@ -113,7 +106,7 @@ def build_r0(
         entries = [list(row) for row in op.entries]
         entries[i][j] = OpEntry.local(LatticePoly.from_monomial(m), a)
         basis.append(DiffOperator(entries))
-    return OperatorCandidate(n, tags, tuple(basis))
+    return OperatorCandidate(tags, tuple(basis))
 
 
 def log_density_rows(sys: DdeSystem) -> list[tuple[OpEntry, ...]]:
@@ -219,7 +212,7 @@ def build_r1(
             if not op.is_zero:
                 ops.append(op)
     tags = fresh_tags(existing + len(ops), sys.params)[existing:]
-    return OperatorCandidate(n, tags, tuple(ops))
+    return OperatorCandidate(tags, tuple(ops))
 
 
 def build_candidate(
@@ -232,9 +225,7 @@ def build_candidate(
     r0 = build_r0(sys, w, rm)
     covariants = default_covariants(sys, w, symmetries, rm, max_depth)
     r1 = build_r1(sys, w, rm, symmetries, covariants, len(r0.unknowns))
-    return OperatorCandidate(
-        sys.n, r0.unknowns + r1.unknowns, r0.basis + r1.basis
-    )
+    return OperatorCandidate(r0.unknowns + r1.unknowns, r0.basis + r1.basis)
 
 
 def identity_residual(
@@ -355,7 +346,7 @@ def _determine(
     gap: int,
     max_depth: int,
 ) -> tuple[dict[str, Fraction], DiffOperator, DiffOperator]:
-    """The coefficients, the operator they assemble and F'."""
+    """The coefficients, the operator they make and F'."""
     if len(symmetries) < gap + 1:
         raise _NoOperator(
             "symmetry-chain",
@@ -380,7 +371,8 @@ def _determine(
 
     fp = frechet_operator(sys.rhs)
     space = [({t: ParamCoeff.one()}, op) for t, op in zip(cand.unknowns, cand.basis)]
-    probed = 0  # symmetries whose identity probes restricted the space
+    # R G(1) = mu G(1 + gap), a symmetry, so the probe on G(1) restricts nothing
+    probed = 1  # symmetries whose identity probes restricted the space
     for k, (ga, gb) in enumerate(pairs):
         # pair k adds R Ga - mu Gb = 0, the scale unknown mu entering with
         # -Gb, then the probes on every symmetry up to Gb
@@ -400,19 +392,18 @@ def _determine(
             f"solution space still {len(space)}-dimensional after "
             "using every supplied symmetry pair",
         )
-    scaled = normalize_basis_vector(space[0][0], [("mu1", 1)])
-    if scaled is None:
+    # the nullspace basis is rational, so mu is too
+    vec, operator = space[0]
+    mu = vec.get("mu1", ParamCoeff.zero()).as_fraction()
+    if not mu:
         raise _NoOperator(
             "generation",
             "no operator maps the first symmetry to the second (scale "
             "coefficient vanishes)",
         )
-    _, solution = scaled
-    coeffs = {
-        tag: solution.get(tag, ParamCoeff.zero()).as_fraction()
-        for tag in cand.unknowns
-    }
-    return coeffs, cand.assemble(coeffs), fp
+    zero = ParamCoeff.zero()
+    coeffs = {tag: vec.get(tag, zero).as_fraction() / mu for tag in cand.unknowns}
+    return coeffs, operator.scale(1 / mu), fp
 
 
 def _verify(

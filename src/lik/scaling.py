@@ -10,7 +10,7 @@ candidates.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .expr import (
     LatticeMonomial,
@@ -31,18 +31,6 @@ class ScalingError(ValueError):
 
 # One rational weight per component; the time derivative has weight 1.
 WeightVector = tuple[Fraction, ...]
-
-
-class WeightFamily(NamedTuple):
-    """Underdetermined outcome: an affine family particular + span(directions).
-
-    free_components lists indices whose weight is not pinned by the balance
-    equations; a caller-supplied normalization resolves the family.
-    """
-
-    particular: tuple[Fraction, ...]
-    directions: tuple[tuple[Fraction, ...], ...]
-    free_components: tuple[int, ...]
 
 
 def rank_of(m: LatticeMonomial, w: WeightVector) -> Fraction:
@@ -68,13 +56,13 @@ def _balance_rows(sys: DdeSystem) -> list[dict[int, Fraction]]:
     return rows
 
 
-def compute_weights(sys: DdeSystem) -> WeightVector | WeightFamily:
+def compute_weights(sys: DdeSystem) -> WeightVector:
     """Solve the rank-uniformity balance equations over the rationals.
 
     Parameters are weightless constants; weights are pinned only through
     sys.weight_pins.  Returns the weight tuple when the solution is unique
-    (and positive), a WeightFamily when a free scale remains, and raises
-    ScalingError when no positive solution exists.
+    and positive, and raises ScalingError when a free scale remains or no
+    positive solution exists.
     """
     n = sys.n
     columns = tuple(f"w{i}" for i in range(n)) + ("t",)
@@ -87,8 +75,7 @@ def compute_weights(sys: DdeSystem) -> WeightVector | WeightFamily:
     )
     # t is the last column, so the one basis vector holding it has t = 1;
     # every other vector is a direction whose last entry is its free column
-    particular = None
-    directions, free = [], []
+    particular, free = None, []
     for vec in nullspace(system).basis:
         weights = tuple(
             vec.get(c, ParamCoeff.zero()).as_fraction() for c in columns[:n]
@@ -96,15 +83,17 @@ def compute_weights(sys: DdeSystem) -> WeightVector | WeightFamily:
         if "t" in vec:
             particular = weights
         else:
-            directions.append(weights)
-            free.append(max(i for i, v in enumerate(weights) if v))
+            free.append(sys.names[max(i for i, v in enumerate(weights) if v)])
     if particular is None:
         raise ScalingError(
             "system is not dilation invariant: rank balance equations "
             "are inconsistent"
         )
     if free:
-        return WeightFamily(particular, tuple(directions), tuple(free))
+        raise ScalingError(
+            "weights are underdetermined: pin a free component with "
+            f"--weight (free: {', '.join(free)})"
+        )
     if any(v <= 0 for v in particular):
         raise ScalingError(
             "system is not dilation invariant: no positive rational weights "

@@ -14,7 +14,7 @@ class DdeSystem:
     the shift-equivalence canonical form (which prefers the lowest
     component) is a pure function of the data.  dt_cache holds the Dt of
     each shift-canonical monomial (expr.total_time_derivative).  Equality
-    and hash see names, rhs and params only; repr leaves out dt_cache.
+    sees names, rhs and params only; repr leaves out dt_cache.
     """
 
     __slots__ = ("names", "rhs", "params", "weight_pins", "dt_cache")
@@ -40,9 +40,6 @@ class DdeSystem:
         return (self.names, self.rhs, self.params) == (
             other.names, other.rhs, other.params
         )
-
-    def __hash__(self) -> int:
-        return hash((self.names, self.rhs, self.params))
 
     def __repr__(self) -> str:
         return (

@@ -124,8 +124,20 @@ def param_coefficient(p: LatticePoly, name: str, power: int) -> LatticePoly:
     return LatticePoly({m: c.coeff_of(name, power) for m, c in p.terms()})
 
 
+def substitute(c: ParamCoeff, assignment) -> ParamCoeff:
+    """c with each parameter named in assignment replaced by its value (a
+    ParamCoeff); the other parameters stay."""
+    out = ParamCoeff.zero()
+    for m, k in c.items():
+        piece = ParamCoeff.from_value(k)
+        for name, e in m:
+            piece = piece * assignment.get(name, ParamCoeff.param(name)) ** e
+        out = out + piece
+    return out
+
+
 def substitute_params(p: LatticePoly, assignment) -> LatticePoly:
-    return LatticePoly({m: c.substitute(assignment) for m, c in p.terms()})
+    return LatticePoly({m: substitute(c, assignment) for m, c in p.terms()})
 
 
 # -- hypothesis strategies ---------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 import sympy
 from hypothesis import given
 
-from conftest import P
+from conftest import P, substitute
 from lik.expr import LatticePoly
 from lik.linalg import (
     LinearSolveError,
@@ -325,7 +325,7 @@ class TestParametricSolve:
             for vec in br.outcome.basis:
                 for row in dense(sys):
                     resid = evaluate_row(row, sys.unknowns, vec)
-                    assert resid.substitute(values).is_zero
+                    assert substitute(resid, values).is_zero
 
     def test_nonlinear_pivot_via_cleared_substitution(self):
         # (a*b - 1)*c1 = 0: solvable because parameters are nonzero
@@ -402,7 +402,7 @@ def _check_at(branch, system, point):
     there are as many vectors as sympy's nullity of the specialized
     matrix."""
     at = {p: R(v) for p, v in point.items()}
-    rows = [[c.substitute(at).as_fraction() for c in row] for row in dense(system)]
+    rows = [[substitute(c, at).as_fraction() for c in row] for row in dense(system)]
     ncols = len(system.unknowns)
     flat = [sympy.Rational(v.numerator, v.denominator) for row in rows for v in row]
     rank = sympy.Matrix(len(rows), ncols, flat).rank() if rows else 0
@@ -410,7 +410,7 @@ def _check_at(branch, system, point):
     for vec in branch.outcome.basis:
         for row in dense(system):
             resid = evaluate_row(row, system.unknowns, vec)
-            assert resid.substitute(at).is_zero, point
+            assert substitute(resid, at).is_zero, point
 
 
 class TestParametricOracle:
@@ -431,7 +431,7 @@ class TestParametricOracle:
                     v
                     for v in (1, -1, 2, -2, 3, 5, 7, 11)
                     if all(
-                        not c.substitute({"a": R(v)}).is_zero
+                        not substitute(c, {"a": R(v)}).is_zero
                         for c in branch.neq_conditions
                     )
                 ][:3]
@@ -492,8 +492,8 @@ class TestPendingEquations:
             br = by_conds[conds]
             for point in points:
                 at = {p: R(v) for p, v in point.items()}
-                assert all(c.substitute(at).is_zero for c in br.eq_conditions)
-                assert not any(c.substitute(at).is_zero for c in br.neq_conditions)
+                assert all(substitute(c, at).is_zero for c in br.eq_conditions)
+                assert not any(substitute(c, at).is_zero for c in br.neq_conditions)
                 _check_at(br, system, point)
 
 

@@ -329,11 +329,12 @@ from lik.linalg import (  # noqa: E402
     normalize_basis_vector,
     nullspace,
 )
-from lik.operators import ExtendedExpr  # noqa: E402
+from lik.operators import DiffOperator, ExtendedExpr  # noqa: E402
 from lik.params import ParamCoeff  # noqa: E402
 from lik.parser import parse_system  # noqa: E402
 from lik.recursion import (  # noqa: E402
     _NoOperator,
+    _restrict,
     _restriction_rows,
     _slots,
     build_candidate,
@@ -493,7 +494,11 @@ def reference_determine(sys, w, symmetries, gap, max_depth):
         tag: solution.get(tag, ParamCoeff.zero()).as_fraction()
         for tag in cand.unknowns
     }
-    return coeffs, cand.assemble(coeffs), fp
+    operator = DiffOperator.zero(sys.n)
+    for tag, op in zip(cand.unknowns, cand.basis):
+        if coeffs[tag]:
+            operator = operator + op.scale(coeffs[tag])
+    return coeffs, operator, fp
 
 
 def reference_solve(sys, w, symmetries, gap=1):
@@ -528,32 +533,60 @@ def _chain(source, levels):
     return system, w, chain
 
 
-@pytest.mark.parametrize(
-    "source, levels, gap",
-    [
-        (path, levels, 1)
-        for path in (
-            "systems/toda.dde",
-            "systems/volterra.dde",
-            "perfbench/systems/modified_volterra.dde",
-        )
-        for levels in (2, 3, 4)
-    ]
-    + [
-        ("perfbench/systems/bogoyavlenskii.dde", 2, 1),
-        ("perfbench/systems/bogoyavlenskii.dde", 3, 1),
-        ("tests/golden/scaled_volterra.dde", 3, 1),
-        ("tests/golden/bogoyavlenskii_two_params.dde", 3, 1),
-        (PARAM_TODA_ONE_EQUATION, 3, 1),
-        ("systems/toda.dde", 3, 2),
-        ("systems/volterra.dde", 3, 2),
-    ],
-)
+CHAINS = [
+    (path, levels, 1)
+    for path in (
+        "systems/toda.dde",
+        "systems/volterra.dde",
+        "perfbench/systems/modified_volterra.dde",
+    )
+    for levels in (2, 3, 4)
+] + [
+    ("perfbench/systems/bogoyavlenskii.dde", 2, 1),
+    ("perfbench/systems/bogoyavlenskii.dde", 3, 1),
+    ("tests/golden/scaled_volterra.dde", 3, 1),
+    ("tests/golden/bogoyavlenskii_two_params.dde", 3, 1),
+    (PARAM_TODA_ONE_EQUATION, 3, 1),
+    ("systems/toda.dde", 3, 2),
+    ("systems/volterra.dde", 3, 2),
+]
+
+
+@pytest.mark.parametrize("source, levels, gap", CHAINS)
 def test_staged_solve_matches_the_all_at_once_reference(source, levels, gap):
     system, w, chain = _chain(source, levels)
     assert solve_recursion(system, w, chain, gap=gap) == reference_solve(
         system, w, chain, gap
     )
+
+
+@pytest.mark.parametrize("source, levels, gap", CHAINS)
+def test_generation_family_implies_the_probe_on_the_first_symmetry(
+    source, levels, gap
+):
+    # the staged solve skips the probe on G(1): every operator that maps
+    # G(1) to a multiple of G(1 + gap) has a residual zero on G(1), in the
+    # local slot and in every antidifference cofactor
+    system, w, chain = _chain(source, levels)
+    ga, gb = chain[0], chain[gap]
+    cand = build_candidate(system, w, rank_matrix(ga, gb), chain)
+    space = [({t: ParamCoeff.one()}, op) for t, op in zip(cand.unknowns, cand.basis)]
+    scale = ({"mu1": ParamCoeff.one()}, DiffOperator.zero(system.n))
+    applied = [op.apply(list(ga.components)) for _, op in space]
+    minus_gb = [ExtendedExpr(-c) for c in gb.components]
+    try:
+        space = _restrict(space + [scale], applied + [minus_gb])
+    except _NoOperator as exc:
+        # rows that stay parametric end the solve before any probe
+        outcome = solve_recursion(system, w, chain, gap=gap)
+        assert (outcome.failure_family, outcome.message) == exc.args
+        return
+    # a survivor has nonlocal entries, so antidifference terms take part
+    assert any(e.nonlocals for _, op in space for row in op.entries for e in row)
+    fp = frechet_operator(system.rhs)
+    for _, op in space:
+        residual = identity_residual(op, system, fp).apply(list(ga.components))
+        assert all(p.is_zero for _, p in _slots(residual))
 
 
 def test_duplicated_unknown_leaves_a_two_dimensional_space(

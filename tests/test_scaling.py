@@ -11,13 +11,17 @@ from lik.expr import LatticeMonomial, LatticePoly
 from lik.parser import parse_system
 from lik.scaling import (
     ScalingError,
-    WeightFamily,
     compute_weights,
     derivative_completion,
     monomials_upto_rank,
     rank_of,
 )
 from lik.system import DdeSystem
+
+
+UNDERDETERMINED = (
+    "weights are underdetermined: pin a free component with --weight (free: {})"
+)
 
 
 def _uniform(sys: DdeSystem, w) -> bool:
@@ -41,9 +45,9 @@ class TestComputeWeights:
 
     def test_underdetermined_family(self):
         s = parse_system("u' = u[0]*v[0]\nv' = v[0]*v[1]")
-        fam = compute_weights(s)
-        assert isinstance(fam, WeightFamily)
-        assert fam.free_components == (0,)
+        with pytest.raises(ScalingError) as info:
+            compute_weights(s)
+        assert str(info.value) == UNDERDETERMINED.format("u")
         # pinning the free component resolves the family
         pinned = DdeSystem(s.names, s.rhs, weight_pins={0: Fraction(3)})
         w = compute_weights(pinned)
@@ -129,19 +133,12 @@ def _rref_outcome(sys):
         rref, pivots = sympy.zeros(0, n + 1), ()
     if n in pivots:
         return ("inconsistent",)
+    free = tuple(c for c in range(n) if c not in pivots)
+    if free:
+        return ("family", free)
     particular = [Fraction(0)] * n
     for k, c in enumerate(pivots):
         particular[c] = Fraction(str(rref[k, n]))
-    free = tuple(c for c in range(n) if c not in pivots)
-    directions = []
-    for fc in free:
-        d = [Fraction(0)] * n
-        d[fc] = Fraction(1)
-        for k, c in enumerate(pivots):
-            d[c] = -Fraction(str(rref[k, fc]))
-        directions.append(tuple(d))
-    if free:
-        return ("family", tuple(particular), tuple(directions), free)
     if any(v <= 0 for v in particular):
         return ("non-positive",)
     return ("vector", tuple(particular))
@@ -155,14 +152,14 @@ class TestComputeWeightsAgainstSympy:
         try:
             w = compute_weights(sys)
         except ScalingError as exc:
-            kind = "inconsistent" if "inconsistent" in str(exc) else "non-positive"
-            assert (kind,) == expected
+            if expected[0] == "family":
+                free = ", ".join(sys.names[c] for c in expected[1])
+                assert str(exc) == UNDERDETERMINED.format(free)
+            else:
+                kind = "inconsistent" if "inconsistent" in str(exc) else "non-positive"
+                assert (kind,) == expected
             return
-        if isinstance(w, WeightFamily):
-            got = ("family", w.particular, w.directions, w.free_components)
-        else:
-            got = ("vector", w)
-        assert got == expected
+        assert ("vector", w) == expected
 
 
 class TestRankOf:
