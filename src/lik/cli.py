@@ -7,10 +7,10 @@ Subcommands
     recursion   recursion operator from a computed symmetry chain
     verify      recheck a density, symmetry, or operator file from scratch
 
-Exit codes: 0 success, 1 usage or parse error, 2 no result at the
-requested rank, 3 verification failure.  All symbolic output round-trips
-through the expression grammar; identical inputs give byte-identical
-reports.
+Exit codes: 0 success, 1 usage or parse error (also a parameter exponent
+past 2**31 - 1 while solving), 2 no result at the requested rank, 3
+verification failure.  All symbolic output round-trips through the
+expression grammar; identical inputs give byte-identical reports.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .conservation import (
 from .expr import LatticePoly, render_poly
 from .linalg import DEFAULT_BRANCH_DEPTH, Branch
 from .operators import DiffOperator, render_operator
-from .params import ParamCoeff
+from .params import ExponentOverflow, ParamCoeff
 from .parser import (
     ParseError,
     parse_assignments,
@@ -575,7 +575,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             report.set_weights(w)
         code = handler(args, sys_, w, report)
-    except UsageError as exc:
+    except (UsageError, ExponentOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ParseError as exc:

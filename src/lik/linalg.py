@@ -26,14 +26,17 @@ A matrix with a parameter entry is normalized once where it enters
 elimination: each row is divided by its rational content and common
 parameter-monomial factor, and repeated rows are dropped.  That may make
 it rational (a row a*(u - v) becomes u - v); otherwise it is eliminated
-fraction free (cross multiplication with normalization).  Whenever no
-invertible pivot is available the solver splits cases on the irreducible
-factors of a chosen pivot (exact factorization over Z by lik.factor,
-memoized per process): one generic branch assuming every factor nonzero,
-and one branch per factor forced to zero (resolved by substituting the
-factor's solution for a parameter).  Declared parameters themselves are
-assumed nonzero throughout, so pure parameter monomials never trigger a
-split.
+fraction free (cross multiplication with normalization).  Normalizing
+is integer work (params.primitive_row): a gcd of the values' numerators,
+the common parameter monomial subtracted from each packed term key, and
+exact division, so every value comes out an int; a row that is already
+normal is kept as it is.  Whenever no invertible pivot is available the
+solver splits cases on the irreducible factors of a chosen pivot (exact
+factorization over Z by lik.factor, memoized per process): one generic
+branch assuming every factor nonzero, and one branch per factor forced to
+zero (resolved by substituting the factor's solution for a parameter).
+Declared parameters themselves are assumed nonzero throughout, so pure
+parameter monomials never trigger a split.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from math import gcd, lcm
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .expr import LatticeMonomial, LatticePoly, accumulate, term_key
-from .params import ParamCoeff
+from .params import ParamCoeff, primitive_row
 
 # A sparse row: column index -> nonzero entry.
 Row = dict[int, ParamCoeff]
@@ -146,25 +149,12 @@ def _is_rational(matrix: Iterable[Row]) -> bool:
 
 def _normalize_row(row: Row) -> Row:
     """Divide by rational content and common parameter-monomial factor, and
-    make the leading coefficient of the first entry positive."""
+    make the leading coefficient of the first entry positive; the row itself
+    when it already is."""
     if not row:
         return row
-    num, den = 0, 1
-    mono: dict[str, int] | None = None
-    for c in row.values():
-        f = c.content()
-        num = gcd(num, f.numerator)
-        den = lcm(den, f.denominator)
-        if mono is None or mono:
-            mc = dict(c.monomial_content())
-            mono = mc if mono is None else {
-                n: min(e, mc[n]) for n, e in mono.items() if n in mc
-            }
-    inv_mono = tuple(sorted((n, -e) for n, e in mono.items()))
-    scale = ParamCoeff({inv_mono: Fraction(den, num)})
-    if (row[min(row)] * scale).leading()[1] < 0:
-        scale = -scale
-    return {j: c * scale for j, c in row.items()}
+    out = primitive_row(list(row.values()), row[min(row)])
+    return row if out is None else dict(zip(row, out))
 
 
 def _normalized_rows(matrix: Iterable[Row]) -> list[Row]:

@@ -4,44 +4,95 @@ integral).
 
 With no parameters declared a coefficient degenerates to a plain rational.
 No floating point anywhere.
+
+A parameter monomial is one int, the exponent of each parameter in its
+own 32-bit field (packed exponent vectors; Monagan and Pearce, CASC 2007),
+fields numbered by a process-wide registry in order of first use: a
+product of monomials is a sum of ints, one exponent a shift and a mask.
+The top bit of each field is a guard, so an exponent is at most 2**31 - 1:
+the constructor checks each exponent and a product each new term (one
+bitwise and), raising ExponentOverflow past it.  Only the API boundary
+decodes (items, leading, parameters, monomial_content, rendering), to
+((name, exponent), ...) pairs sorted by name and cached per monomial, so
+no result depends on the order of the fields.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Union
+from typing import Collection, Iterable, Mapping, Union
 
-# A parameter monomial: ((name, exponent), ...) sorted by name, exponents > 0.
+# A parameter monomial at the API: ((name, exponent), ...) sorted by name,
+# exponents > 0.
 PMono = tuple[tuple[str, int], ...]
 
 Scalar = Union[int, Fraction, "ParamCoeff"]
 
-_ONE_PM: PMono = ()
+_WIDTH = 32
+_MASK = (1 << _WIDTH) - 1
+MAX_EXPONENT = (1 << (_WIDTH - 1)) - 1
+_ONE_PM = 0  # the packed constant monomial
+
+# the registry, parameter name -> bit offset of its field, in field order;
+# the guard bits of its fields; packed monomial -> (order key, pairs)
+_SHIFT: dict[str, int] = {}
+_GUARD = 0
+_DECODED: dict[int, tuple[tuple, PMono]] = {}
 
 # the shared small constants of ParamCoeff._of (hash-consing of immutable
 # values): value -> its one instance
 _SMALL: dict[int, "ParamCoeff"] = {}
 
 
-def _pmono_mul(a: PMono, b: PMono) -> PMono:
-    if not a:
-        return b
-    if not b:
-        return a
-    acc: dict[str, int] = dict(a)
-    for name, e in b:
-        acc[name] = acc.get(name, 0) + e
-    return tuple(sorted((n, e) for n, e in acc.items() if e != 0))
+class ExponentOverflow(ValueError):
+    """A parameter exponent that a packed field cannot hold."""
+
+    def __init__(self):
+        super().__init__(f"parameter exponent outside 0..{MAX_EXPONENT}")
 
 
-def _pmono_degree(m: PMono) -> int:
-    return sum(e for _, e in m)
+def _shift(name: str) -> int:
+    """The bit offset of name's field, registering the name on first use."""
+    global _GUARD
+    if name not in _SHIFT:
+        _SHIFT[name] = len(_SHIFT) * _WIDTH
+        _GUARD |= 1 << (_SHIFT[name] + _WIDTH - 1)
+    return _SHIFT[name]
 
 
-def _pmono_key(m: PMono):
-    # total degree descending, then lexicographic by (name, exponent desc)
-    return (-_pmono_degree(m), tuple((n, -e) for n, e in m))
+def _pack(m: PMono) -> int:
+    key = 0
+    for name, e in m:
+        if not 0 <= e <= MAX_EXPONENT:
+            raise ExponentOverflow()
+        key += e << _shift(name)
+    return key
+
+
+def _decoded(m: int) -> tuple[tuple, PMono]:
+    """(order key, pairs by name) of a packed monomial.  The order is total
+    degree descending, then lexicographic by (name, exponent descending):
+    graded lex in name order, a monomial order, so dividing every term by
+    one monomial keeps it."""
+    out = _DECODED.get(m)
+    if out is None:
+        fields = ((n, (m >> s) & _MASK) for n, s in _SHIFT.items())
+        pm = tuple(sorted((n, e) for n, e in fields if e))
+        key = (-sum(e for _, e in pm), tuple((n, -e) for n, e in pm))
+        out = _DECODED[m] = (key, pm)
+    return out
+
+
+def _order(m: int) -> tuple:
+    return _decoded(m)[0]
+
+
+def _common_monomial(keys: Collection[int]) -> int:
+    """The packed gcd of packed monomials: each field's least exponent."""
+    if _ONE_PM in keys:
+        return _ONE_PM
+    return sum(min((m >> s) & _MASK for m in keys) << s for s in _SHIFT.values())
 
 
 def _combined(a: dict, b: dict, sign: int) -> dict:
@@ -75,18 +126,18 @@ class ParamCoeff:
 
     Each value is stored as an int when it is integral and as a Fraction
     only otherwise, so products of integer coefficients never build a
-    Fraction.  Accessors that callers divide with (as_fraction, leading,
-    content) return Fractions.
+    Fraction.  Accessors that callers divide with (as_fraction, leading)
+    return Fractions.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[PMono, Union[int, Fraction]]):
-        self._terms = {m: _exact(c) for m, c in terms.items() if c != 0}
+        self._terms = {_pack(m): _exact(c) for m, c in terms.items() if c != 0}
 
     @classmethod
-    def _of(cls, terms: dict[PMono, Union[int, Fraction]]) -> "ParamCoeff":
-        """Wrap terms that already hold only nonzero exact values.  A
+    def _of(cls, terms: dict[int, Union[int, Fraction]]) -> "ParamCoeff":
+        """Wrap packed terms that already hold only nonzero exact values.  A
         constant integer in [-64, 64] other than 0 is one shared instance,
         made on first use (_SMALL), so no method may change the terms it
         wraps."""
@@ -95,7 +146,7 @@ class ParamCoeff:
             if type(v) is int and -64 <= v <= 64:
                 shared = _SMALL.get(v)
                 if shared is None:
-                    shared = _SMALL[v] = cls(terms)
+                    shared = _SMALL[v] = cls({(): v})
                 return shared
         out = object.__new__(cls)
         out._terms = terms
@@ -118,7 +169,7 @@ class ParamCoeff:
 
     @classmethod
     def param(cls, name: str) -> "ParamCoeff":
-        return cls._of({((name, 1),): 1})
+        return cls._of({1 << _shift(name): 1})
 
     @staticmethod
     def coerce(value: Scalar) -> "ParamCoeff":
@@ -129,7 +180,10 @@ class ParamCoeff:
     # -- inspection ----------------------------------------------------
 
     def items(self) -> list[tuple[PMono, Union[int, Fraction]]]:
-        return sorted(self._terms.items(), key=lambda t: _pmono_key(t[0]))
+        return [
+            (_decoded(m)[1], c)
+            for m, c in sorted(self._terms.items(), key=lambda t: _order(t[0]))
+        ]
 
     @property
     def is_zero(self) -> bool:
@@ -150,20 +204,14 @@ class ParamCoeff:
         return self._terms.get(_ONE_PM, 0)
 
     def parameters(self) -> set[str]:
-        return {n for m in self._terms for n, _ in m}
+        return {n for m in self._terms for n, _ in _decoded(m)[1]}
 
     def degree_in(self, name: str) -> int:
-        deg = 0
-        for m in self._terms:
-            for n, e in m:
-                if n == name:
-                    deg = max(deg, e)
-        return deg
+        shift = _shift(name)
+        return max(((m >> shift) & _MASK for m in self._terms), default=0)
 
     def total_degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(_pmono_degree(m) for m in self._terms)
+        return -min((_order(m)[0] for m in self._terms), default=0)
 
     def is_unit_monomial(self) -> bool:
         """Single term c * prod(params): invertible once parameters are
@@ -172,35 +220,13 @@ class ParamCoeff:
 
     def leading(self) -> tuple[PMono, Fraction]:
         if not self._terms:
-            return _ONE_PM, Fraction(0)
-        m = min(self._terms, key=_pmono_key)
-        return m, Fraction(self._terms[m])
-
-    def content(self) -> Fraction:
-        """Positive rational content (gcd of coefficients), 0 for the zero
-        polynomial."""
-        num, den = 0, 1
-        for c in self._terms.values():
-            num = gcd(num, c.numerator)
-            den = lcm(den, c.denominator)
-        return Fraction(num, den)
+            return (), Fraction(0)
+        m = min(self._terms, key=_order)
+        return _decoded(m)[1], Fraction(self._terms[m])
 
     def monomial_content(self) -> PMono:
         """Common parameter-monomial factor of every term."""
-        common: dict[str, int] | None = None
-        for m in self._terms:
-            md = dict(m)
-            if common is None:
-                common = md
-            else:
-                common = {
-                    n: min(e, md.get(n, 0)) for n, e in common.items() if n in md
-                }
-            if not common:
-                return _ONE_PM
-        if not common:
-            return _ONE_PM
-        return tuple(sorted((n, e) for n, e in common.items() if e > 0))
+        return _decoded(_common_monomial(self._terms))[1] if self._terms else ()
 
     # -- arithmetic ----------------------------------------------------
 
@@ -233,16 +259,19 @@ class ParamCoeff:
             return self.scale(b[_ONE_PM])
         if len(a) == 1 and _ONE_PM in a:
             return other.scale(a[_ONE_PM])
-        acc: dict[PMono, Union[int, Fraction]] = {}
+        acc: dict[int, Union[int, Fraction]] = {}
+        guard = _GUARD
         for ma, ca in a.items():
             for mb, cb in b.items():
-                m = _pmono_mul(ma, mb)
+                m = ma + mb
                 v = ca * cb
                 if m in acc:
                     v += acc[m]
                     if not v:
                         del acc[m]
                         continue
+                elif m & guard:
+                    raise ExponentOverflow()
                 if type(v) is Fraction and v.denominator == 1:
                     v = v.numerator
                 acc[m] = v
@@ -292,26 +321,29 @@ class ParamCoeff:
     def coeff_of(self, name: str, power: int) -> "ParamCoeff":
         """Coefficient of name**power, as a polynomial in the remaining
         parameters."""
-        acc: dict[PMono, Union[int, Fraction]] = {}
-        for m, c in self._terms.items():
-            d = dict(m)
-            if d.pop(name, 0) != power:
-                continue
-            rest = tuple(sorted(d.items()))
-            acc[rest] = acc.get(rest, 0) + c
-        return ParamCoeff(acc)
+        shift = _shift(name)
+        field = power << shift
+        return ParamCoeff._of({
+            m - field: c
+            for m, c in self._terms.items()
+            if (m >> shift) & _MASK == power
+        })
 
     def substitute_cleared(
         self, name: str, num: "ParamCoeff", den: "ParamCoeff", clear_to: int
     ) -> "ParamCoeff":
         """Substitute name := num/den and multiply by den**clear_to so the
-        result stays polynomial; clear_to must be >= degree_in(name)."""
-        out = ParamCoeff.zero()
+        result stays polynomial; clear_to must be >= degree_in(name).  The
+        terms are grouped by their power k of name, so num**k * den**(d-k)
+        is formed once per k."""
+        shift = _shift(name)
+        by_power: dict[int, dict[int, Union[int, Fraction]]] = {}
         for m, c in self._terms.items():
-            d = dict(m)
-            k = d.pop(name, 0)
-            rest = ParamCoeff._of({tuple(sorted(d.items())): c})
-            out = out + rest * num**k * den ** (clear_to - k)
+            k = (m >> shift) & _MASK
+            by_power.setdefault(k, {})[m - (k << shift)] = c
+        out = ParamCoeff.zero()
+        for k, rest in by_power.items():
+            out = out + ParamCoeff._of(rest) * num**k * den ** (clear_to - k)
         return out
 
     # -- rendering -------------------------------------------------------
@@ -336,6 +368,39 @@ class ParamCoeff:
 
     def __repr__(self) -> str:
         return f"ParamCoeff({self.render()})"
+
+
+def primitive_row(
+    coeffs: list[ParamCoeff], first: ParamCoeff
+) -> list[ParamCoeff] | None:
+    """coeffs divided by their rational content and common parameter
+    monomial, and negated when first leads with a negative value; None when
+    that divisor is 1.  Every value comes out an int, as the content is the
+    gcd of the numerators over the lcm of the denominators."""
+    num, den, keys = 0, 1, []
+    for c in coeffs:
+        keys.extend(c._terms)
+        for v in c._terms.values():
+            if type(v) is int:
+                num = gcd(num, v)
+            else:
+                num = gcd(num, v.numerator)
+                den = lcm(den, v.denominator)
+    mono = _common_monomial(keys)
+    lead = first._terms
+    if lead and lead[min(lead, key=_order)] < 0:
+        num = -num
+    if num == 1 and den == 1 and not mono:
+        return None
+    return [
+        ParamCoeff._of({
+            m - mono: (
+                v * den if type(v) is int else v.numerator * (den // v.denominator)
+            ) // num
+            for m, v in c._terms.items()
+        })
+        for c in coeffs
+    ]
 
 
 def join_signed(terms: Iterable[tuple[str, str]]) -> str:

@@ -323,6 +323,30 @@ class TestDiagnostics:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
+        "power, command, code, message",
+        [
+            ("2147483647", "weights", 0, ""),
+            ("2147483648", "weights", 1, "parse error: 2:7: "),
+            ("4294967296", "densities", 1, "parse error: 2:7: "),
+            ("(2147483647)*a", "weights", 1, "parse error: 2:21: "),
+            # parses, but Dt of Dt(u) squares the largest exponent
+            ("2147483647", "densities", 1, "error: "),
+        ],
+        ids=["largest", "first-past", "2**32", "product", "in-solve"],
+    )
+    def test_parameter_exponent_limit(
+        self, capsys, tmp_path, power, command, code, message
+    ):
+        p = tmp_path / "s.dde"
+        p.write_text(f"params: a\nu' = a^{power}*u[0]*(u[1] - u[-1])\n")
+        argv = [command, str(p)] + (["--max-rank", "3"] if command == "densities" else [])
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        if code:
+            assert out == ""
+            assert err == f"{message}parameter exponent outside 0..2147483647\n"
+
+    @pytest.mark.parametrize(
         "flag, text, key",
         [
             ("--density", "rho = u[0]\nflux = v[-1]\nflux = v[0]\n", "flux"),

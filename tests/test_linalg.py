@@ -673,3 +673,89 @@ class TestColumnRows:
         ]
         assert rows(polys) == expected
         assert rows(reordered) == expected
+
+
+# -- row normalization against the earlier rational-scale version -------------
+
+
+def _ref_key(m):
+    return (-sum(e for _, e in m), tuple((n, -e) for n, e in m))
+
+
+def _reference_normalize_row(row):
+    """The earlier _normalize_row, on {pmono: Fraction} terms: the rational
+    content and the per-name least exponent of every entry, one Laurent
+    scale den/num * mono^-1 multiplied into every term, and the whole row
+    negated when the scaled first entry leads with a negative value."""
+    terms = {j: {m: Fraction(c) for m, c in pc.items()} for j, pc in row.items()}
+    num, den, mono = 0, 1, None
+    for f in terms.values():
+        for c in f.values():
+            num, den = math.gcd(num, c.numerator), math.lcm(den, c.denominator)
+        names = set.intersection(*({n for n, _ in m} for m in f))
+        mc = {n: min(dict(m)[n] for m in f) for n in names}
+        mono = mc if mono is None else {n: min(e, mc[n]) for n, e in mono.items() if n in mc}
+
+    def scaled(f, k):
+        return {
+            tuple((n, e - mono.get(n, 0)) for n, e in m if e != mono.get(n, 0)): c * k
+            for m, c in f.items()
+        }
+
+    scale = Fraction(den, num)
+    first = scaled(terms[min(terms)], scale)
+    if first[min(first, key=_ref_key)] < 0:
+        scale = -scale
+    return {j: scaled(f, scale) for j, f in terms.items()}
+
+
+_NAMES = ("a", "b")
+_monos = st.tuples(st.integers(0, 2), st.integers(0, 2)).map(
+    lambda es: tuple((n, e) for n, e in zip(_NAMES, es) if e)
+)
+_values = st.one_of(
+    st.integers(-12, 12), st.fractions(-4, 4, max_denominator=6)
+).filter(bool)
+_entries = st.dictionaries(_monos, _values, min_size=1, max_size=3).map(ParamCoeff)
+
+
+class TestNormalizeRow:
+    def _check(self, row):
+        got = linalg._normalize_row(row)
+        want = _reference_normalize_row(row)
+        assert {j: {m: Fraction(c) for m, c in pc.items()} for j, pc in got.items()} == want
+        assert list(got) == list(row)
+        assert all(type(c) is int for pc in got.values() for _, c in pc.items())
+        unchanged = want == {j: {m: Fraction(c) for m, c in pc.items()} for j, pc in row.items()}
+        assert (got is row) == unchanged
+        return got
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(
+        st.lists(st.tuples(st.integers(0, 5), _entries), min_size=1, max_size=4),
+        _monos,
+        _values,
+    )
+    def test_matches_the_reference(self, entries, factor, scale):
+        # every entry times one monomial and one scale, so that rows share a
+        # common factor beyond what the entries happen to have
+        common = ParamCoeff({factor: scale})
+        self._check({j: c * common for j, c in entries})
+        self._check(dict(entries))
+
+    def test_named_cases(self):
+        a, b = A, B
+        cases = {
+            "fractions": {2: A * Fraction(2, 3) + Fraction(4, 9), 0: R(Fraction(-2, 15))},
+            "negative leading term": {1: -a * b + 2, 3: a - 1},
+            "common monomial": {0: a**2 * b * 6 - a * b**2 * 4, 5: a * b * 10},
+            "normal": {0: a * b - 1, 2: b + 2},
+            "normal rational": {1: R(1), 4: R(-3)},
+        }
+        got = {name: self._check(row) for name, row in cases.items()}
+        # content 2/45; column 0 comes first, so its -3 decides the sign
+        assert got["fractions"] == {2: a * -15 - 10, 0: R(3)}
+        assert got["negative leading term"] == {1: a * b - 2, 3: -a + 1}
+        assert got["common monomial"] == {0: a * 3 - b * 2, 5: R(5)}
+        assert got["normal"] is cases["normal"]
+        assert got["normal rational"] is cases["normal rational"]

@@ -48,10 +48,8 @@ def test_unit_monomials_and_content():
     a = ParamCoeff.param("a")
     p = a * a * Fraction(3, 2)
     assert p.is_unit_monomial()
-    assert p.content() == Fraction(3, 2)
     q = a * 2 + 4
     assert not q.is_unit_monomial()
-    assert q.content() == 2
     assert q.monomial_content() == ()
     r = a * a + a * ParamCoeff.param("b")
     assert r.monomial_content() == (("a", 1),)
@@ -72,7 +70,9 @@ import hypothesis.strategies as st  # noqa: E402
 from hypothesis import given, settings  # noqa: E402
 
 RING = settings(derandomize=True, database=None, deadline=None, max_examples=200)
-NAMES = ("a", "b")
+# a0 sorts between a and b but is registered after both, so a field order
+# that leaked into a result would show
+NAMES = ("a", "b", "a0")
 
 
 def _ref_mono_mul(m, n):
@@ -109,8 +109,29 @@ def _ref(pc):
     return {m: Fraction(c) for m, c in pc.items()}
 
 
-pmonos = st.tuples(st.integers(0, 2), st.integers(0, 2)).map(
-    lambda es: tuple((n, e) for n, e in zip(NAMES, es) if e)
+def _ref_key(m):
+    # total degree descending, then lexicographic by (name, exponent desc)
+    return (-sum(e for _, e in m), tuple((n, -e) for n, e in m))
+
+
+def _ref_coeff_of(f, name, power):
+    out = {}
+    for m, c in f.items():
+        d = dict(m)
+        if d.pop(name, 0) == power:
+            out[tuple(sorted(d.items()))] = c
+    return out
+
+
+def _ref_monomial_content(f):
+    if not f:
+        return ()
+    common = {n: min(dict(m).get(n, 0) for m in f) for n in NAMES}
+    return tuple(sorted((n, e) for n, e in common.items() if e))
+
+
+pmonos = st.tuples(*[st.integers(0, 2)] * len(NAMES)).map(
+    lambda es: tuple(sorted((n, e) for n, e in zip(NAMES, es) if e))
 )
 # int, integral Fraction and true fraction values, so both spellings of an
 # integer reach every operation
@@ -170,22 +191,39 @@ class TestRingAgainstReference:
             _assert_stored_values(got)
 
     @RING
-    @given(raw_coeffs, raw_coeffs, raw_coeffs, st.integers(0, 2))
-    def test_substitute_cleared(self, f, num, den, extra):
+    @given(raw_coeffs, raw_coeffs, raw_coeffs, st.integers(0, 2), st.sampled_from(NAMES))
+    def test_substitute_cleared(self, f, num, den, extra, name):
         p = ParamCoeff(f)
-        clear_to = p.degree_in("a") + extra
+        clear_to = p.degree_in(name) + extra
         rnum, rden = _exact_ref(num), _exact_ref(den)
         want = {}
         for m, c in _exact_ref(f).items():
             d = dict(m)
-            k = d.pop("a", 0)
+            k = d.pop(name, 0)
             piece = {tuple(sorted(d.items())): c}
             piece = _ref_mul(piece, _ref_pow(rnum, k))
             piece = _ref_mul(piece, _ref_pow(rden, clear_to - k))
             want = _ref_add(want, piece)
-        got = p.substitute_cleared("a", ParamCoeff(num), ParamCoeff(den), clear_to)
+        got = p.substitute_cleared(name, ParamCoeff(num), ParamCoeff(den), clear_to)
         assert _ref(got) == want
         _assert_stored_values(got)
+
+    @RING
+    @given(raw_coeffs, st.sampled_from(NAMES), st.integers(0, 3))
+    def test_structure_and_order(self, f, name, power):
+        p, rf = ParamCoeff(f), _exact_ref(f)
+        assert [m for m, _ in p.items()] == sorted(rf, key=_ref_key)
+        assert _ref(p) == rf
+        assert p.degree_in(name) == max((dict(m).get(name, 0) for m in rf), default=0)
+        got = p.coeff_of(name, power)
+        assert _ref(got) == _ref_coeff_of(rf, name, power)
+        _assert_stored_values(got)
+        assert p.monomial_content() == _ref_monomial_content(rf)
+        assert p.parameters() == {n for m in rf for n, _ in m}
+        if rf:
+            lead = min(rf, key=_ref_key)
+            assert p.leading() == (lead, rf[lead])
+            assert p.total_degree() == -_ref_key(lead)[0]
 
     @RING
     @given(raw_coeffs)
@@ -193,7 +231,6 @@ class TestRingAgainstReference:
         p = ParamCoeff(f)
         _assert_stored_values(p)
         assert type(p.leading()[1]) is Fraction
-        assert type(p.content()) is Fraction
         if p.is_rational:
             assert type(p.as_fraction()) is Fraction
 
@@ -226,7 +263,7 @@ def test_constructors_store_exact_values():
     assert hash(ParamCoeff.from_value(3)) == hash(ParamCoeff.from_value(Fraction(3)))
     # dividing two accessors is exact division, never float division
     assert ParamCoeff.from_value(1).as_fraction() / ParamCoeff.from_value(3).as_fraction() == Fraction(1, 3)
-    assert ParamCoeff.from_value(3).content() / 2 == Fraction(3, 2)
+    assert ParamCoeff.from_value(3).leading()[1] / 2 == Fraction(3, 2)
 
 
 # -- shared small constants ----------------------------------------------------
@@ -234,7 +271,7 @@ def test_constructors_store_exact_values():
 from pathlib import Path  # noqa: E402
 
 from lik.cli import main  # noqa: E402
-from lik.params import _SMALL  # noqa: E402
+from lik.params import _SMALL, _pack  # noqa: E402
 
 
 def _is_shared(pc) -> bool:
@@ -242,8 +279,9 @@ def _is_shared(pc) -> bool:
 
 
 def _assert_shared_intact():
+    # 0 is the packed key of the constant monomial
     for v, s in _SMALL.items():
-        assert s._terms == {(): v} and type(s._terms[()]) is int
+        assert s._terms == {0: v} and type(s._terms[0]) is int
 
 
 class TestSharedConstants:
@@ -269,8 +307,8 @@ class TestSharedConstants:
             a,
             -3 * a * b,
             a * 2 - a,
-            ParamCoeff._of({(("a", 1),): 1}),
-            ParamCoeff._of({(("a", 1), ("b", 1)): -3}),
+            ParamCoeff._of({_pack((("a", 1),)): 1}),
+            ParamCoeff._of({_pack((("a", 1), ("b", 1))): -3}),
             ParamCoeff.zero(),
             ParamCoeff.from_value(0),
             a - a,
@@ -290,3 +328,65 @@ class TestSharedConstants:
         capsys.readouterr()
         _assert_shared_intact()
         assert code == 0
+
+
+# -- the packed form: exponent limit and field order ---------------------------
+
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+
+from lik.params import MAX_EXPONENT, ExponentOverflow  # noqa: E402
+
+
+class TestExponentLimit:
+    def test_largest_exponent_fits(self):
+        a, b = ParamCoeff.param("a"), ParamCoeff.param("b")
+        top = ParamCoeff({(("a", MAX_EXPONENT),): 1})
+        assert top.degree_in("a") == MAX_EXPONENT == 2**31 - 1
+        assert top == ParamCoeff({(("a", MAX_EXPONENT - 1),): 1}) * a
+        assert (top * b).items() == [((("a", MAX_EXPONENT), ("b", 1)), 1)]
+        assert top.render() == f"a^{MAX_EXPONENT}"
+
+    def test_first_exponent_past_the_limit(self):
+        a = ParamCoeff.param("a")
+        top = ParamCoeff({(("a", MAX_EXPONENT),): 1})
+        with pytest.raises(ExponentOverflow, match=r"outside 0\.\.2147483647"):
+            ParamCoeff({(("a", MAX_EXPONENT + 1),): 1})
+        with pytest.raises(ExponentOverflow):
+            top * a
+        with pytest.raises(ExponentOverflow):
+            (a + 1) * (top + 1)  # only one product term overflows
+        with pytest.raises(ExponentOverflow):
+            ParamCoeff({(("a", 2**30),): 1}) ** 2
+        with pytest.raises(ExponentOverflow):
+            ParamCoeff({(("a", -1),): 1})
+
+
+# names registered in the given order in a fresh process, then every
+# boundary accessor on the same coefficients
+_REGISTRY_SCRIPT = """
+import sys
+from lik.params import ParamCoeff, _SHIFT
+for name in sys.argv[1:]:
+    ParamCoeff.param(name)
+assert list(_SHIFT) == sys.argv[1:], _SHIFT
+a, b = ParamCoeff.param("a"), ParamCoeff.param("b")
+for p in (a*b - 1, b**2*a + a**2*b + 3*b**3 - a, (a + b)**3, b - a, a**2*b*(b - 2*a)):
+    print(p.render(), p.items(), p.leading(), p.monomial_content(),
+          sorted(p.parameters()), p.degree_in("a"), p.coeff_of("b", 1).render(),
+          p.total_degree(), sorted(q.render() for q in (p, -p, p*p)))
+print(ParamCoeff({(("a", 1), ("b", 1)): 1}) == a*b, (b - a).render())
+"""
+
+
+def test_results_do_not_depend_on_the_field_order():
+    def run(*names):
+        done = subprocess.run(
+            [sys.executable, "-c", _REGISTRY_SCRIPT, *names],
+            capture_output=True, text=True, check=True,
+        )
+        return done.stdout
+
+    name_order = run("a", "b")
+    assert run("b", "a") == name_order
+    assert name_order.splitlines()[-1] == "True -a + b"
