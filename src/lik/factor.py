@@ -10,10 +10,11 @@ a primitive polynomial that is linear in a parameter, or whose image at an
 integer point is irreducible of the same degree, is irreducible; anything
 else goes through Kronecker substitution.
 
-Only the parametric solver imports this module, at its first factorization
-or pivot test, so parameter-free runs never load it.  A pivot test asks
-whether a pivot is a unit times a product of the branch's nonzero
-conditions; repeated exact division answers that without factoring.
+Only the parametric solver imports this module, and only to factor a
+polynomial that it cannot see to be irreducible (lik.linalg answers the
+linear case itself), so most runs never load it.  Its pivot test, exact
+division of a pivot by the branch's nonzero conditions, is ring work and
+lives in lik.params.
 
 Integer polynomials, univariate ones too, are dicts {exponent tuple: int}
 with one exponent per parameter of a fixed name tuple and no zero
@@ -30,7 +31,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .params import ParamCoeff
 
@@ -54,21 +55,6 @@ def irreducible_factors(pc: ParamCoeff) -> list[ParamCoeff]:
         )
         for g in _factor(f)
     ]
-
-
-def divides_into_unit(pc: ParamCoeff, factors: Iterable[ParamCoeff]) -> bool:
-    """Whether pc, with coprime integer coefficients, is +-1 times a product
-    of powers of the given primitive polynomials, by repeated exact division
-    in Z[params].  By Gauss's lemma a primitive factor over Q divides pc in
-    Z[params] too, so no factorization is needed."""
-    names = tuple(sorted(pc.parameters()))
-    f = _integral(pc, names)
-    for g in factors:
-        if g.parameters() <= set(names):
-            g = _integral(g, names)
-            while (q := _divexact(f, g)) is not None:
-                f = q
-    return _is_const(f)
 
 
 def _integral(pc: ParamCoeff, names: tuple[str, ...]) -> IPoly:

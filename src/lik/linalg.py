@@ -30,11 +30,15 @@ fraction free (cross multiplication with normalization).  Normalizing
 is integer work (params.primitive_row): a gcd of the values' numerators,
 the common parameter monomial subtracted from each packed term key, and
 exact division, so every value comes out an int; a row that is already
-normal is kept as it is.  Whenever no invertible pivot is available the
-solver splits cases on the irreducible factors of a chosen pivot (exact
-factorization over Z by lik.factor, memoized per process): one generic
-branch assuming every factor nonzero, and one branch per factor forced to
-zero (resolved by substituting the factor's solution for a parameter).
+normal is kept as it is.  Exact division decides whether a pivot is
+invertible, a unit monomial times nonzero conditions of the branch
+(params.divides_into_unit).  Whenever none is, the solver splits cases on
+the irreducible factors of a chosen pivot (one linear in a parameter with
+a unit-monomial coefficient is irreducible as it stands; any other is
+factored over Z by lik.factor, memoized per process and imported only
+then): one generic branch assuming every factor nonzero, and one branch
+per factor forced to zero (resolved by substituting the factor's solution
+for a parameter).
 Declared parameters themselves are assumed nonzero throughout, so pure
 parameter monomials never trigger a split.
 """
@@ -48,7 +52,7 @@ from math import gcd, lcm
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .expr import LatticeMonomial, LatticePoly, accumulate, term_key
-from .params import ParamCoeff, primitive_row
+from .params import ParamCoeff, divides_into_unit, primitive_row
 
 # A sparse row: column index -> nonzero entry.
 Row = dict[int, ParamCoeff]
@@ -179,10 +183,15 @@ def _normalize_factor(pc: ParamCoeff) -> ParamCoeff:
 def _factor_irreducible(pc: ParamCoeff) -> list[ParamCoeff]:
     """Irreducible-over-QQ factors that could actually vanish: rational
     content and pure parameter-monomial factors are dropped (parameters are
-    nonzero by assumption)."""
+    nonzero by assumption).  A normalized g*p + h, with g a unit monomial
+    and h free of p, is irreducible as it stands: a factor free of p
+    divides the monomial g, and normalization took the monomial content."""
     pc = _normalize_factor(pc)
     if pc.is_zero or pc.is_rational or pc.is_unit_monomial():
         return []
+    for p in pc.parameters():
+        if pc.degree_in(p) == 1 and pc.coeff_of(p, 1).is_unit_monomial():
+            return [pc]
     return list(_factors_of_normalized(pc))
 
 
@@ -430,11 +439,7 @@ class _ParametricSolver:
         division rather than by factoring c."""
         if c.is_rational or c.is_unit_monomial():
             return True
-        if not neqs:
-            return False
-        from .factor import divides_into_unit
-
-        return divides_into_unit(_normalize_factor(c), neqs)
+        return bool(neqs) and divides_into_unit(_normalize_factor(c), neqs)
 
     def _eliminate(self, rows: list[Row], subs, neqs, depth) -> None:
         """Fraction-free Gauss-Jordan elimination on normalized rows."""

@@ -14,7 +14,8 @@ the constructor checks each exponent and a product each new term (one
 bitwise and), raising ExponentOverflow past it.  Only the API boundary
 decodes (items, leading, parameters, monomial_content, rendering), to
 ((name, exponent), ...) pairs sorted by name and cached per monomial, so
-no result depends on the order of the fields.
+no result depends on the order of the fields.  Exact division, the
+parametric solver's pivot test (divides_into_unit), works on packed keys.
 """
 
 from __future__ import annotations
@@ -401,6 +402,40 @@ def primitive_row(
         })
         for c in coeffs
     ]
+
+
+def divides_into_unit(pc: ParamCoeff, factors: Iterable[ParamCoeff]) -> bool:
+    """Whether pc is +-1 times a product of powers of the given primitive
+    polynomials, all with int values as normalized rows have, by repeated
+    exact division in Z[params] (Gauss's lemma: no factorization needed)."""
+    f = pc._terms
+    for g in factors:
+        while (q := _divexact(f, g._terms)) is not None:
+            f = q
+    return list(f) == [_ONE_PM]
+
+
+def _divexact(f: dict, g: dict) -> dict | None:
+    """f / g on packed terms if g divides f in Z[params], else None, by
+    division by g's leading term under _order.  A difference of packed keys
+    is a monomial when it is >= 0 and no field borrowed into its guard."""
+    lead = min(g, key=_order)
+    lc = g[lead]
+    r, q = dict(f), {}
+    while r:
+        m = min(r, key=_order)
+        d = m - lead
+        if d < 0 or d & _GUARD or r[m] % lc:
+            return None
+        c = q[d] = r[m] // lc
+        for e, x in g.items():
+            e += d
+            v = r.get(e, 0) - c * x
+            if v:
+                r[e] = v
+            else:
+                del r[e]
+    return q
 
 
 def join_signed(terms: Iterable[tuple[str, str]]) -> str:

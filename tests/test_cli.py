@@ -498,6 +498,37 @@ class TestDeterminism:
             assert "inspect" not in loaded
 
 
+class TestFactorImport:
+    # lik.factor is imported only to factor a polynomial that is not linear
+    # in a parameter with a unit-monomial coefficient; the pivot test and
+    # the certificate run in the ring
+    @pytest.mark.parametrize(
+        "args, loaded",
+        [
+            (("symmetries", "--levels", "2", "systems/parameterized_toda.dde"), False),
+            (("densities", "--max-rank", "5",
+              "perfbench/systems/parameterized_volterra.dde"), False),
+            (("densities", "--max-rank", "6", "systems/parameterized_toda.dde"), True),
+        ],
+        ids=["toda-symmetries-2", "volterra-densities-5", "toda-densities-6"],
+    )
+    def test_loaded_only_to_factor(self, args, loaded):
+        code = (
+            "import io, sys; sys.path.insert(0, sys.argv[1]); "
+            "from contextlib import redirect_stdout; from lik.cli import main\n"
+            "with redirect_stdout(io.StringIO()): code = main(sys.argv[2:])\n"
+            "print(code, 'lik.factor' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code, str(ROOT / "src"), *args],
+            cwd=ROOT,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", str(loaded)]
+
+
 class TestBranchDepth:
     def test_env_var_read(self, capsys, param_file, monkeypatch):
         monkeypatch.setenv("LIK_BRANCH_DEPTH", "6")

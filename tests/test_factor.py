@@ -144,3 +144,56 @@ class TestPinned:
         second = _factor_irreducible((a**2 - 1).scale(-3))
         assert [f.render() for f in first] == ["a + 1", "a - 1"]
         assert first == second and first is not second
+
+
+# -- the linear-irreducibility certificate: irreducible without factoring ------
+
+from unittest import mock  # noqa: E402
+
+from lik import factor, linalg  # noqa: E402
+
+
+def solver_factors(pc: ParamCoeff) -> list[ParamCoeff]:
+    """factor.irreducible_factors called directly, its factors normalized,
+    unit monomials dropped, in the solver's order."""
+    out = [_normalize_factor(f) for f in irreducible_factors(pc)]
+    out = [f for f in out if not f.is_unit_monomial()]
+    return sorted(out, key=lambda f: (f.total_degree(), f.render()))
+
+
+@st.composite
+def linear_in_a_parameter(draw):
+    """g*p + h with g a unit monomial free of p and h a polynomial free of p."""
+    names = ("a", "b", "c")
+    p = draw(st.sampled_from(names))
+    rest = tuple(n for n in names if n != p)
+    g = ParamCoeff.from_value(
+        draw(st.sampled_from([1, -1, 2, Fraction(-3, 2)]))
+    )
+    for n in rest:
+        g = g * ParamCoeff.param(n) ** draw(st.integers(0, 2))
+    return g * ParamCoeff.param(p) + draw(small_factor(rest, 3))
+
+
+class TestLinearCertificate:
+    @settings(max_examples=100, deadline=None)
+    @given(linear_in_a_parameter())
+    def test_irreducible_without_factoring(self, pc):
+        expected = solver_factors(pc)
+        refuse = AssertionError("factored a linear polynomial")
+        with mock.patch.object(factor, "irreducible_factors", side_effect=refuse):
+            linalg._factors_of_normalized.cache_clear()
+            assert _factor_irreducible(pc) == expected == [_normalize_factor(pc)]
+
+    def test_other_polynomials_reach_the_factorization(self):
+        spy = mock.patch.object(
+            factor, "irreducible_factors", wraps=factor.irreducible_factors
+        )
+        with spy as calls:
+            linalg._factors_of_normalized.cache_clear()
+            # linear in a and in b, but with the coefficient b - 1, a + 1
+            got = _factor_irreducible(a * b + b - a - 1)
+            assert [f.render() for f in got] == ["a + 1", "b - 1"]
+            got = _factor_irreducible(b**2 * 2 - b * 3 + 1)
+            assert [f.render() for f in got] == ["2*b - 1", "b - 1"]
+            assert calls.call_count == 2

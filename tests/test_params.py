@@ -390,3 +390,163 @@ def test_results_do_not_depend_on_the_field_order():
     name_order = run("a", "b")
     assert run("b", "a") == name_order
     assert name_order.splitlines()[-1] == "True -a + b"
+
+
+# -- exact division on packed keys: the pivot test ------------------------------
+
+import math  # noqa: E402
+
+from lik.linalg import _factor_irreducible, _normalize_factor  # noqa: E402
+from lik.params import _SHIFT, _divexact, divides_into_unit  # noqa: E402
+
+
+def _ref_integral(pc, names):
+    terms = pc.items()
+    den = math.lcm(*(c.denominator for _, c in terms))
+    return {tuple(dict(m).get(n, 0) for n in names): int(c * den) for m, c in terms}
+
+
+def _ref_divexact(f, g):
+    lead = max(g)
+    room = [max(e[i] for e in f) - max(e[i] for e in g) for i in range(len(lead))]
+    r, q = dict(f), {}
+    while r:
+        m = max(r)
+        d = tuple(x - y for x, y in zip(m, lead))
+        if any(not 0 <= k <= top for k, top in zip(d, room)) or r[m] % g[lead]:
+            return None
+        c = q[d] = r[m] // g[lead]
+        for e, x in g.items():
+            e = tuple(i + j for i, j in zip(e, d))
+            v = r.get(e, 0) - c * x
+            if v:
+                r[e] = v
+            else:
+                del r[e]
+    return q
+
+
+def _reference_divides_into_unit(pc, factors):
+    """The pivot test on exponent tuples over pc's parameters, divided by
+    the lex-leading term with a degree bound on each quotient term."""
+    names = tuple(sorted(pc.parameters()))
+    f = _ref_integral(pc, names)
+    for g in factors:
+        if g.parameters() <= set(names):
+            g = _ref_integral(g, names)
+            while (q := _ref_divexact(f, g)) is not None:
+                f = q
+    return all(not any(e) for e in f)
+
+
+def small_polys(names):
+    exponents = st.tuples(*[st.integers(0, 2)] * len(names)).filter(
+        lambda e: sum(e) <= 2
+    )
+    return st.dictionaries(
+        exponents, st.integers(-3, 3).filter(bool), min_size=1, max_size=3
+    ).map(
+        lambda terms: ParamCoeff({
+            tuple((n, k) for n, k in zip(names, e) if k): c for e, c in terms.items()
+        })
+    )
+
+
+@st.composite
+def pivot_tests(draw):
+    """(pivot, conditions) as the solver sees them: a product of normalized
+    irreducible factors, some repeated, times a sign and a unit monomial, or
+    such a product plus a small polynomial, normalized; conditions drawn
+    from the same pool and from one unrelated polynomial."""
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=3, unique=True))
+    pool = []
+    for p in draw(st.lists(small_polys(names), min_size=1, max_size=3)):
+        pool.extend(f for f in _factor_irreducible(p) if f not in pool)
+    if not pool:
+        pool = [ParamCoeff.param(names[0]) - 1]
+    pc = ParamCoeff.from_value(draw(st.sampled_from([1, -1, 3, Fraction(-2, 5)])))
+    for n in names:
+        pc = pc * ParamCoeff.param(n) ** draw(st.integers(0, 2))
+    picked = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    for f in picked:
+        pc = pc * f
+    if draw(st.integers(0, 9)) < 4:
+        pc = pc + draw(small_polys(names))
+    # most of the product's factors, some others
+    conds = [
+        f for f in pool
+        if (f in picked or draw(st.booleans())) and draw(st.integers(0, 3))
+    ]
+    conds += _factor_irreducible(draw(small_polys(names)))[:1]
+    return _normalize_factor(pc), tuple(conds)
+
+
+class TestDividesIntoUnit:
+    @RING
+    @given(pivot_tests())
+    def test_matches_the_reference(self, case):
+        pc, conds = case
+        if pc.is_zero or pc.is_rational or pc.is_unit_monomial():
+            return  # decided before the division test
+        assert divides_into_unit(pc, conds) == _reference_divides_into_unit(pc, conds)
+
+    def test_borrow_from_a_higher_field(self):
+        # the divisor's leading term has the larger exponent in the lower
+        # field, so the key difference borrows into the guard bit; read as
+        # a monomial it would be the Laurent hi^2/lo, an exact "quotient"
+        lo, hi = ParamCoeff.param("a"), ParamCoeff.param("b")
+        if _SHIFT["a"] > _SHIFT["b"]:
+            lo, hi = hi, lo
+        assert _divexact((hi**2 * (lo + hi))._terms, (lo * (lo + hi))._terms) is None
+        f, g = lo * hi**2 + 1, lo**2 + hi
+        assert _divexact(f._terms, g._terms) is None
+        assert not divides_into_unit(f, [g])
+        assert divides_into_unit(f * g, [g, f])
+
+    def test_exponents_at_the_limit(self):
+        a, b = ParamCoeff.param("a"), ParamCoeff.param("b")
+        top = ParamCoeff({(("a", MAX_EXPONENT),): 1})
+        g = top - b  # linear in b: irreducible
+        pc = g * (b - 1)
+        assert divides_into_unit(pc, [g, b - 1])
+        assert not divides_into_unit(pc, [g]) and not divides_into_unit(pc, [b - 1])
+        assert not divides_into_unit(top * b + 1, [g])
+        # a remainder term goes past the limit: a^(MAX + 1) from a * a^MAX
+        assert not divides_into_unit(top * b**3 + 1, [b**3 + a])
+        for pc, conds in (
+            (pc, [g, b - 1]), (top * b + 1, [g]), (top * b**3 + 1, [b**3 + a]),
+        ):
+            want = _reference_divides_into_unit(pc, conds)
+            assert divides_into_unit(pc, conds) == want
+
+
+# the same pivot tests with the fields in the order given, in a fresh process
+_DIVISION_SCRIPT = """
+import sys
+from lik.params import MAX_EXPONENT, ParamCoeff, _SHIFT, divides_into_unit
+for name in sys.argv[1:]:
+    ParamCoeff.param(name)
+assert list(_SHIFT) == sys.argv[1:], _SHIFT
+a, b = ParamCoeff.param("a"), ParamCoeff.param("b")
+top = ParamCoeff({(("a", MAX_EXPONENT),): 1})
+for pc, conds in (
+    (a*b**2 + 1, [a**2 + b]), (b*a**2 + 1, [b**2 + a]),
+    ((a*b**2 + 1) * (a**2 + b), [a**2 + b, a*b**2 + 1]),
+    ((a - b)**2 * (a*b - 1), [a - b, a*b - 1]), ((a - b) * (a + b), [a - b]),
+    ((top - b) * (b - 1), [top - b, b - 1]), (top*b**3 + 1, [b**3 + a]),
+):
+    print(divides_into_unit(pc, conds))
+"""
+
+
+def test_division_does_not_depend_on_the_field_order():
+    def run(*names):
+        done = subprocess.run(
+            [sys.executable, "-c", _DIVISION_SCRIPT, *names],
+            capture_output=True, text=True, check=True,
+        )
+        return done.stdout.split()
+
+    name_order = run("a", "b")
+    assert run("b", "a") == name_order
+    assert name_order == ["False", "False", "True", "True", "False", "True", "False"]
