@@ -195,12 +195,6 @@ class LatticePoly:
         m = min(self._terms, key=term_key)
         return m, self._terms[m]
 
-    def parameters(self) -> set[str]:
-        out: set[str] = set()
-        for c in self._terms.values():
-            out |= c.parameters()
-        return out
-
     def has_negative_exponent(self) -> bool:
         return any(e < 0 for m in self._terms for e in m.flat[2::3])
 

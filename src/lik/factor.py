@@ -12,16 +12,14 @@ else goes through Kronecker substitution.
 
 Only the parametric solver imports this module, and only to factor a
 polynomial that it cannot see to be irreducible (lik.linalg answers the
-linear case itself), so most runs never load it.  Its pivot test, exact
-division of a pivot by the branch's nonzero conditions, is ring work and
-lives in lik.params.
+linear case itself), so most runs never load it.
 
-Integer polynomials, univariate ones too, are dicts {exponent tuple: int}
-with one exponent per parameter of a fixed name tuple and no zero
-coefficients; coefficient lists, lowest degree first, without trailing
-zeros, are only residues mod p and p^k.  One recombination step, trial
-division by the candidates that subsets of an image's factors decode to,
-serves both Zassenhaus and Kronecker.
+Every polynomial over Z is a ParamCoeff with int values, a univariate one
+a ParamCoeff in one parameter, so exact division, derivatives and
+coefficients come from lik.params; coefficient lists, lowest degree first,
+without trailing zeros, are only residues mod p and p^k.  One
+recombination step, trial division by the candidates that subsets of an
+image's factors decode to, serves both Zassenhaus and Kronecker.
 """
 
 from __future__ import annotations
@@ -29,13 +27,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
-from fractions import Fraction
 from typing import Iterator
 
-from .params import ParamCoeff
-
-IPoly = dict[tuple[int, ...], int]
+from .params import ParamCoeff, divexact
 
 
 def irreducible_factors(pc: ParamCoeff) -> list[ParamCoeff]:
@@ -44,212 +40,135 @@ def irreducible_factors(pc: ParamCoeff) -> list[ParamCoeff]:
     the rational content and multiplicities are dropped."""
     if pc.is_zero:
         return []
-    names = tuple(sorted(pc.parameters()))
-    f = _integral(pc, names)
-    return [
-        ParamCoeff(
-            {
-                tuple((n, e) for n, e in zip(names, k) if e): Fraction(c)
-                for k, c in g.items()
-            }
-        )
-        for g in _factor(f)
-    ]
+    return _factor(pc.scale(math.lcm(*(c.denominator for _, c in pc.items()))))
 
 
-def _integral(pc: ParamCoeff, names: tuple[str, ...]) -> IPoly:
-    """pc times the lcm of its denominators, over the given parameters."""
-    terms = pc.items()
-    den = math.lcm(*(c.denominator for _, c in terms))
-    return {tuple(dict(m).get(n, 0) for n in names): int(c * den) for m, c in terms}
-
-
-def _factor(f: IPoly) -> list[IPoly]:
+def _factor(f: ParamCoeff) -> list[ParamCoeff]:
     """Distinct irreducible factors of positive degree of a nonzero f."""
-    n = len(next(iter(f)))
-    live = [i for i in range(n) if any(e[i] for e in f)]
+    live = sorted(f.parameters())
     if not live:
         return []
     if len(live) == 1:
-        (i,) = live
-        image = {(e[i],): c for e, c in f.items()}
-        return [
-            {(0,) * i + e + (0,) * (n - i - 1): c for e, c in g.items()}
-            for g, _ in _univariate_factors(image)
-        ]
+        return [g for g, _ in _univariate_factors(f, live[0])]
     # split off the content in each parameter
-    for i in live:
-        c = _content(f, i)
-        if not _is_const(c):
-            return _factor(c) + _factor(_divexact(f, c))
+    for x in live:
+        c = _content(f, x)
+        if not c.is_rational:
+            return _factor(c) + _factor(divexact(f, c))
     # f is primitive in every parameter, so each of its factors involves
     # live[0], and f / gcd(f, df/dlive[0]) is its square-free part
-    f = _divexact(f, _gcd(f, _diff(f, live[0])))
-    if any(_degree(f, i) == 1 for i in live) or _irreducible_image(f, live):
+    f = divexact(f, _gcd(f, f.derivative(live[0])))
+    if any(f.degree_in(x) == 1 for x in live) or _irreducible_image(f, live):
         return [f]
-    return _kronecker(f)
+    return _kronecker(f, live)
 
 
-def _is_const(f: IPoly) -> bool:
-    return all(not any(e) for e in f)
+def _normal(f: ParamCoeff) -> ParamCoeff:
+    """f or -f, whichever has a positive leading coefficient."""
+    return -f if f.leading()[1] < 0 else f
 
 
-def _degree(f: IPoly, i: int) -> int:
-    return max((e[i] for e in f), default=0)
-
-
-def _normal(f: IPoly) -> IPoly:
-    """f or -f, whichever has a positive lex-leading coefficient."""
-    return {e: -c for e, c in f.items()} if f and f[max(f)] < 0 else f
-
-
-def _mul(f: IPoly, g: IPoly) -> IPoly:
-    out: IPoly = {}
-    for a, x in f.items():
-        for b, y in g.items():
-            e = tuple(i + j for i, j in zip(a, b))
-            out[e] = out.get(e, 0) + x * y
-    return {e: c for e, c in out.items() if c}
-
-
-def _sub(f: IPoly, g: IPoly) -> IPoly:
-    out = dict(f)
-    for e, c in g.items():
-        v = out.get(e, 0) - c
-        if v:
-            out[e] = v
-        else:
-            del out[e]
-    return out
-
-
-def _shift(f: IPoly, i: int, k: int) -> IPoly:
-    """f times parameter i to the power k."""
-    return {e[:i] + (e[i] + k,) + e[i + 1 :]: c for e, c in f.items()}
-
-
-def _diff(f: IPoly, i: int) -> IPoly:
-    return {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in f.items() if e[i]}
-
-
-def _coeff(f: IPoly, i: int, k: int) -> IPoly:
-    """Coefficient of parameter i to the power k."""
-    return {e[:i] + (0,) + e[i + 1 :]: c for e, c in f.items() if e[i] == k}
-
-
-def _divexact(f: IPoly, g: IPoly) -> IPoly | None:
-    """f / g if g divides f in Z[params], else None (division by the
-    lex-leading term; a quotient term beyond deg f - deg g in some
-    parameter proves that g does not divide f)."""
-    lead = max(g)
-    room = [_degree(f, i) - _degree(g, i) for i in range(len(lead))]
-    r, q = dict(f), {}
-    while r:
-        m = max(r)
-        d = tuple(a - b for a, b in zip(m, lead))
-        if any(not 0 <= k <= top for k, top in zip(d, room)) or r[m] % g[lead]:
-            return None
-        c = q[d] = r[m] // g[lead]
-        r = _sub(r, {tuple(a + b for a, b in zip(e, d)): c * x for e, x in g.items()})
-    return q
-
-
-def _gcd(f: IPoly, g: IPoly) -> IPoly:
+def _gcd(f: ParamCoeff, g: ParamCoeff) -> ParamCoeff:
     """Greatest common divisor in Z[params] with a positive leading
     coefficient: the gcd of the contents in one parameter times that of the
     primitive parts, by a primitive pseudo-remainder sequence."""
-    if not f or not g:
-        return _normal(f or g)
-    n = len(next(iter(f)))
-    live = [i for i in range(n) if any(e[i] for e in itertools.chain(f, g))]
+    if f.is_zero or g.is_zero:
+        return _normal(g if f.is_zero else f)
+    live = sorted(f.parameters() | g.parameters())
     if not live:
-        return {(0,) * n: math.gcd(*f.values(), *g.values())}
-    i = live[0]
-    cf, cg = _content(f, i), _content(g, i)
-    f, g = _divexact(f, cf), _divexact(g, cg)
-    if _degree(f, i) < _degree(g, i):
+        return ParamCoeff.from_value(math.gcd(f.value(), g.value()))
+    x = live[0]
+    cf, cg = _content(f, x), _content(g, x)
+    f, g = divexact(f, cf), divexact(g, cg)
+    if f.degree_in(x) < g.degree_in(x):
         f, g = g, f
-    while g and _degree(g, i):
-        f, g = g, _primitive(_prem(f, g, i), i)
-    h = {(0,) * n: 1} if g else f  # a nonzero g of degree 0 is a unit
-    return _normal(_mul(_gcd(cf, cg), h))
+    while not g.is_zero and g.degree_in(x):
+        f, g = g, _primitive(_prem(f, g, x), x)
+    h = f if g.is_zero else ParamCoeff.one()  # a nonzero g of degree 0 is a unit
+    return _normal(_gcd(cf, cg) * h)
 
 
-def _content(f: IPoly, i: int) -> IPoly:
-    """gcd of the coefficients of f as a polynomial in parameter i."""
-    c: IPoly = {}
-    for k in sorted({e[i] for e in f}):
-        c = _gcd(c, _coeff(f, i, k))
-        if len(c) == 1 and _is_const(c) and 1 in c.values():
+def _content(f: ParamCoeff, x: str) -> ParamCoeff:
+    """gcd of the coefficients of f as a polynomial in x."""
+    c = ParamCoeff.zero()
+    for k in range(f.degree_in(x) + 1):
+        c = _gcd(c, f.coeff_of(x, k))
+        if c == 1:
             break
     return c
 
 
-def _primitive(f: IPoly, i: int) -> IPoly:
-    return _divexact(f, _content(f, i)) if f else f
+def _primitive(f: ParamCoeff, x: str) -> ParamCoeff:
+    return f if f.is_zero else divexact(f, _content(f, x))
 
 
-def _prem(f: IPoly, g: IPoly, i: int) -> IPoly:
-    """A pseudo-remainder of f by g in parameter i: lc^k*f - q*g of degree
-    below deg g, where lc is the leading coefficient of g in i."""
-    dg = _degree(g, i)
-    lc = _coeff(g, i, dg)
-    while f and _degree(f, i) >= dg:
-        df = _degree(f, i)
-        f = _sub(_mul(lc, f), _mul(_shift(_coeff(f, i, df), i, df - dg), g))
+def _prem(f: ParamCoeff, g: ParamCoeff, x: str) -> ParamCoeff:
+    """A pseudo-remainder of f by g in x: lc^k*f - q*g of degree below
+    deg g, where lc is the leading coefficient of g in x."""
+    dg = g.degree_in(x)
+    lc = g.coeff_of(x, dg)
+    while not f.is_zero and (df := f.degree_in(x)) >= dg:
+        lead = f.coeff_of(x, df) * ParamCoeff.param(x) ** (df - dg)
+        f = lc * f - lead * g
     return f
 
 
 _POINTS = (2, -3, 5, -2, 3, -5, 7, 4)
 
 
-def _irreducible_image(f: IPoly, live: list[int]) -> bool:
+def _irreducible_image(f: ParamCoeff, live: list[str]) -> bool:
     """True if some integer point for all parameters but one keeps the
     degree of f in that one and gives an irreducible square-free image.
     Then f, primitive in every parameter, is irreducible too: a splitting
     of f would split the image.  False proves nothing."""
-    for i in live:
-        others = [j for j in live if j != i]
+    for x in live:
+        others = [y for y in live if y != x]
         for t in range(4):
-            point = {j: _POINTS[(t + k) % len(_POINTS)] for k, j in enumerate(others)}
-            image: dict[tuple[int], int] = {}
-            for e, c in f.items():
-                v = c * math.prod(point[j] ** e[j] for j in others)
-                image[(e[i],)] = image.get((e[i],), 0) + v
-            image = {e: c for e, c in image.items() if c}
-            if _degree(image, 0) == _degree(f, i):
-                factors = _univariate_factors(image)
+            point = {y: _POINTS[(t + k) % len(_POINTS)] for k, y in enumerate(others)}
+            image = [0] * (f.degree_in(x) + 1)
+            for m, c in f.items():
+                e = dict(m)
+                image[e.pop(x, 0)] += c * math.prod(point[y] ** k for y, k in e.items())
+            if image[-1]:
+                factors = _univariate_factors(_univariate(x, image), x)
                 if len(factors) == 1 and factors[0][1] == 1:
                     return True
     return False
 
 
-def _kronecker(f: IPoly) -> list[IPoly]:
+def _kronecker(f: ParamCoeff, live: list[str]) -> list[ParamCoeff]:
     """Irreducible factors of f, primitive and square-free in every
-    parameter, by Kronecker substitution: parameter i becomes t^w_i with
-    mixed-radix weights w over the bounds deg_i f + 1, which no factor of f
+    parameter, by Kronecker substitution: parameter x becomes t^w_x with
+    mixed-radix weights w over the bounds deg_x f + 1, which no factor of f
     exceeds, so a factor's image decodes back to it.  The candidates are
-    decoded products of the image's irreducible factors."""
-    radix = [_degree(f, i) + 1 for i in range(len(next(iter(f))))]
-    weights = [math.prod(radix[:i]) for i in range(len(radix))]
-    image = {(sum(a * w for a, w in zip(e, weights)),): c for e, c in f.items()}
-    places = list(zip(weights, radix))
+    decoded products of the image's irreducible factors; t is live[0]."""
+    radix = [f.degree_in(x) + 1 for x in live]
+    places = [(x, math.prod(radix[:i]), r) for i, (x, r) in enumerate(zip(live, radix))]
+    weight = {x: w for x, w, _ in places}
+    t = live[0]
+    image = [0] * math.prod(radix)
+    for m, c in f.items():
+        image[sum(weight[x] * e for x, e in m)] = c
 
-    def decode(subset: list[IPoly]) -> IPoly:
-        prod = functools.reduce(_mul, subset).items()
-        return _normal({tuple(k // w % r for w, r in places): c for (k,), c in prod})
+    def decode(subset: list[ParamCoeff]) -> ParamCoeff:
+        prod = _dense(functools.reduce(operator.mul, subset), t)
+        return _normal(ParamCoeff({
+            tuple((x, e // w % r) for x, w, r in places if e // w % r): c
+            for e, c in enumerate(prod)
+            if c
+        }))
 
-    pieces = [g for g, k in _univariate_factors(image) for _ in range(k)]
+    pieces = [g for g, k in _univariate_factors(_univariate(t, image), t) for _ in range(k)]
     return _recombine(f, pieces, decode)
 
 
-def _recombine(f: IPoly, pieces: list, candidate) -> list[IPoly]:
+def _recombine(f: ParamCoeff, pieces: list, candidate) -> list[ParamCoeff]:
     """Irreducible factors of f from the irreducible factors (pieces) of an
     image of f: for subsets of the pieces, smallest first, the candidate
     that the subset decodes to is a factor if it divides f.  A candidate
     whose value at some (k, ..., k), k = 0, 1, -1, 2, does not divide f's
     is skipped without dividing."""
-    found: list[IPoly] = []
+    found: list[ParamCoeff] = []
     size = 1
     while 2 * size <= len(pieces):
         at_f = _at_points(f)
@@ -257,7 +176,7 @@ def _recombine(f: IPoly, pieces: list, candidate) -> list[IPoly]:
             g = candidate([pieces[j] for j in subset])
             if any(fk % gk if gk else fk for fk, gk in zip(at_f, _at_points(g))):
                 continue
-            if (q := _divexact(f, g)) is not None:
+            if (q := divexact(f, g)) is not None:
                 found.append(g)
                 f = q
                 pieces = [p for j, p in enumerate(pieces) if j not in subset]
@@ -267,39 +186,53 @@ def _recombine(f: IPoly, pieces: list, candidate) -> list[IPoly]:
     return found + [_normal(f)]
 
 
-def _at_points(f: IPoly) -> list[int]:
+def _at_points(f: ParamCoeff) -> list[int]:
     """The values of f at (k, ..., k) for k = 0, 1, -1 and 2."""
-    return [sum(c * k ** sum(e) for e, c in f.items()) for k in (0, 1, -1, 2)]
+    terms = [(c, sum(e for _, e in m)) for m, c in f.items()]
+    return [sum(c * k**d for c, d in terms) for k in (0, 1, -1, 2)]
 
 
 # -- univariate factorization over Z ----------------------------------------
 
 
-def _univariate_factors(f: IPoly) -> list[tuple[IPoly, int]]:
-    """Irreducible factors of positive degree of a nonzero f in Z[x], with
-    multiplicities: the power of x, then Zassenhaus on each part of the
-    square-free decomposition."""
-    low = min(e for (e,) in f)
-    out = [({(1,): 1}, low)] if low else []
-    f = {(e - low,): c for (e,), c in f.items()}
-    for g, k in _square_free(f):
-        out += [(h, k) for h in _zassenhaus(g)]
+def _dense(f: ParamCoeff, x: str) -> list[int]:
+    """The coefficients of f in Z[x], lowest degree first."""
+    out = [0] * (f.degree_in(x) + 1)
+    for m, c in f.items():
+        out[m[0][1] if m else 0] = c
     return out
 
 
-def _square_free(f: IPoly) -> list[tuple[IPoly, int]]:
+def _univariate(x: str, coeffs: list[int]) -> ParamCoeff:
+    """The polynomial in x with the given coefficients, lowest degree first."""
+    return ParamCoeff({((x, e),) if e else (): c for e, c in enumerate(coeffs)})
+
+
+def _univariate_factors(f: ParamCoeff, x: str) -> list[tuple[ParamCoeff, int]]:
+    """Irreducible factors of positive degree of a nonzero f in Z[x], with
+    multiplicities: the power of x, then Zassenhaus on each part of the
+    square-free decomposition."""
+    dense = _dense(f, x)
+    low = next(e for e, c in enumerate(dense) if c)
+    out = [(ParamCoeff.param(x), low)] if low else []
+    for g, k in _square_free(_univariate(x, dense[low:]), x):
+        out += [(h, k) for h in _zassenhaus(g, x)]
+    return out
+
+
+def _square_free(f: ParamCoeff, x: str) -> list[tuple[ParamCoeff, int]]:
     """Yun's square-free decomposition of f in Z[x]: pairwise coprime
     primitive g_k of positive degree with f = c * prod g_k^k."""
-    df = _diff(f, 0)
+    df = f.derivative(x)
     c = _gcd(f, df)
-    w, y = _divexact(f, c), _divexact(df, c)
+    w, y = divexact(f, c), divexact(df, c)
     out, k = [], 1
-    while not _is_const(w):
-        z = _sub(y, _diff(w, 0))
+    while not w.is_rational:
+        z = y - w.derivative(x)
         g = _gcd(w, z)
-        if not _is_const(g):
+        if not g.is_rational:
             out.append((g, k))
-        w, y = _divexact(w, g), _divexact(z, g)
+        w, y = divexact(w, g), divexact(z, g)
         k += 1
     return out
 
@@ -310,14 +243,14 @@ def _odd_primes() -> Iterator[int]:
             yield q
 
 
-def _zassenhaus(f: IPoly) -> list[IPoly]:
+def _zassenhaus(f: ParamCoeff, x: str) -> list[ParamCoeff]:
     """Irreducible factors of a primitive square-free f in Z[x] with
     f(0) != 0 and a positive leading coefficient: factor modulo the best of
     up to three primes p that keep f square-free, Hensel-lift past twice
     the Landau-Mignotte bound m, then recombine: a subset's candidate is
     lc(f) times its product in symmetric residues mod m, made primitive."""
-    n = _degree(f, 0)
-    dense = [f.get((e,), 0) for e in range(n + 1)]
+    dense = _dense(f, x)
+    n = len(dense) - 1
     best = None
     tried = 0
     for p in _odd_primes():
@@ -343,12 +276,12 @@ def _zassenhaus(f: IPoly) -> list[IPoly]:
     while m <= bound:
         m *= p
 
-    def from_lifted(subset: list[list[int]]) -> IPoly:
+    def from_lifted(subset: list[list[int]]) -> ParamCoeff:
         g = [dense[-1]]
         for h in subset:
             g = _mod(_mul_dense(g, h), m)
-        g = {(e,): c - m if 2 * c > m else c for e, c in enumerate(g) if c}
-        return _normal(_primitive(g, 0))
+        g = _univariate(x, [c - m if 2 * c > m else c for c in g])
+        return _normal(_primitive(g, x))
 
     return _recombine(f, _hensel(dense, modular, p, m), from_lifted)
 

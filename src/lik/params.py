@@ -12,10 +12,11 @@ product of monomials is a sum of ints, one exponent a shift and a mask.
 The top bit of each field is a guard, so an exponent is at most 2**31 - 1:
 the constructor checks each exponent and a product each new term (one
 bitwise and), raising ExponentOverflow past it.  Only the API boundary
-decodes (items, leading, parameters, monomial_content, rendering), to
-((name, exponent), ...) pairs sorted by name and cached per monomial, so
-no result depends on the order of the fields.  Exact division, the
-parametric solver's pivot test (divides_into_unit), works on packed keys.
+decodes (items, leading, parameters, rendering), to ((name, exponent),
+...) pairs sorted by name and cached per monomial, so no result depends on
+the order of the fields.  Exact division in Z[params] (divexact), and with
+it the parametric solver's pivot test (divides_into_unit) and lik.factor,
+works on packed keys.
 """
 
 from __future__ import annotations
@@ -225,10 +226,6 @@ class ParamCoeff:
         m = min(self._terms, key=_order)
         return _decoded(m)[1], Fraction(self._terms[m])
 
-    def monomial_content(self) -> PMono:
-        """Common parameter-monomial factor of every term."""
-        return _decoded(_common_monomial(self._terms))[1] if self._terms else ()
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: Scalar) -> "ParamCoeff":
@@ -245,9 +242,6 @@ class ParamCoeff:
         if type(other) is not ParamCoeff:
             other = ParamCoeff.coerce(other)
         return ParamCoeff._of(_combined(self._terms, other._terms, -1))
-
-    def __rsub__(self, other: Scalar) -> "ParamCoeff":
-        return ParamCoeff.coerce(other) - self
 
     def __mul__(self, other: Scalar) -> "ParamCoeff":
         if type(other) is not ParamCoeff:
@@ -328,6 +322,16 @@ class ParamCoeff:
             m - field: c
             for m, c in self._terms.items()
             if (m >> shift) & _MASK == power
+        })
+
+    def derivative(self, name: str) -> "ParamCoeff":
+        """The partial derivative in name."""
+        shift = _shift(name)
+        one = 1 << shift
+        return ParamCoeff._of({
+            m - one: _exact(c * k)
+            for m, c in self._terms.items()
+            if (k := (m >> shift) & _MASK)
         })
 
     def substitute_cleared(
@@ -413,6 +417,13 @@ def divides_into_unit(pc: ParamCoeff, factors: Iterable[ParamCoeff]) -> bool:
         while (q := _divexact(f, g._terms)) is not None:
             f = q
     return list(f) == [_ONE_PM]
+
+
+def divexact(f: ParamCoeff, g: ParamCoeff) -> ParamCoeff | None:
+    """f / g if g divides f in Z[params], else None; f and g have int
+    values."""
+    q = _divexact(f._terms, g._terms)
+    return None if q is None else ParamCoeff._of(q)
 
 
 def _divexact(f: dict, g: dict) -> dict | None:

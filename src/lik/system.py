@@ -13,8 +13,8 @@ class DdeSystem:
     Component indices follow lexicographic order of the declared names, so
     the shift-equivalence canonical form (which prefers the lowest
     component) is a pure function of the data.  dt_cache holds the Dt of
-    each shift-canonical monomial (expr.total_time_derivative).  Equality
-    sees names, rhs and params only; repr leaves out dt_cache.
+    each shift-canonical monomial (expr.total_time_derivative); repr
+    leaves out dt_cache.
     """
 
     __slots__ = ("names", "rhs", "params", "weight_pins", "dt_cache")
@@ -33,13 +33,6 @@ class DdeSystem:
         self.names, self.rhs, self.params = names, rhs, params
         self.weight_pins = {} if weight_pins is None else weight_pins
         self.dt_cache: dict[LatticeMonomial, LatticePoly] = {}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DdeSystem):
-            return NotImplemented
-        return (self.names, self.rhs, self.params) == (
-            other.names, other.rhs, other.params
-        )
 
     def __repr__(self) -> str:
         return (

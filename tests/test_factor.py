@@ -15,6 +15,7 @@ from lik.params import ParamCoeff
 
 a = ParamCoeff.param("a")
 b = ParamCoeff.param("b")
+c = ParamCoeff.param("c")
 
 
 def sympy_factor_set(pc: ParamCoeff) -> set[str]:
@@ -124,10 +125,15 @@ class TestPinned:
             # 15 image factors; three subsets accepted, so the pieces shrink twice
             (a**6 - b**6,
              ["a + b", "a - b", "a^2 + a*b + b^2", "a^2 - a*b + b^2"]),
+            # the coefficients in a have gaps, so the content passes zeros
+            ((b**2 + 1) * (a**3 + b), ["b^2 + 1", "a^3 + b"]),
+            # three parameters
+            ((a * b + a * 5 - c * 4 - 1) * (a**2 * b - c**3 + 2),
+             ["a*b + 5*a - 4*c - 1", "a^2*b - c^3 + 2"]),
         ],
         ids=[
             "content", "monomial", "linear", "kronecker", "kronecker-2", "a^4+b^4",
-            "a^6-b^6",
+            "a^6-b^6", "content-gaps", "three-parameters",
         ],
     )
     def test_two_parameters(self, pc, expected):
@@ -197,3 +203,43 @@ class TestLinearCertificate:
             got = _factor_irreducible(b**2 * 2 - b * 3 + 1)
             assert [f.render() for f in got] == ["2*b - 1", "b - 1"]
             assert calls.call_count == 2
+
+
+# -- the packed field registry: results do not depend on its order -------------
+
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+
+# names registered in the given order in a fresh process, then factored:
+# Kronecker substitution, a content split in two parameters, three parameters
+_REGISTRY_SCRIPT = """
+import sys
+from lik.params import ParamCoeff, _SHIFT
+from lik.factor import irreducible_factors
+for name in sys.argv[1:]:
+    ParamCoeff.param(name)
+assert list(_SHIFT) == sys.argv[1:], _SHIFT
+a, b, c = (ParamCoeff.param(n) for n in "abc")
+for pc in (
+    a**4 - b**4, a * b**2 - a * b - b + 1,
+    (a * b + a * 5 - c * 4 - 1) * (a**2 * b - c**3 + 2),
+):
+    print(" | ".join(f.render() for f in irreducible_factors(pc)))
+"""
+
+
+def test_factors_do_not_depend_on_the_field_order():
+    def run(*names):
+        done = subprocess.run(
+            [sys.executable, "-c", _REGISTRY_SCRIPT, *names],
+            capture_output=True, text=True, check=True,
+        )
+        return done.stdout.splitlines()
+
+    name_order = run("a", "b", "c")
+    assert run("c", "b", "a") == name_order
+    assert [sorted(line.split(" | ")) for line in name_order] == [
+        ["a + b", "a - b", "a^2 + b^2"],
+        ["a*b - 1", "b - 1"],
+        ["a*b + 5*a - 4*c - 1", "a^2*b - c^3 + 2"],
+    ]

@@ -26,7 +26,7 @@ class TestExpressions:
 
     def test_parameters(self):
         p = parse_expression("a*u[0] - b", UV, ("a", "b"))
-        assert p.parameters() == {"a", "b"}
+        assert set().union(*(c.parameters() for _, c in p.items())) == {"a", "b"}
 
     def test_unknown_symbol_position(self):
         with pytest.raises(ParseError) as err:
