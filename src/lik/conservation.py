@@ -35,7 +35,7 @@ from .linalg import (
     normalize_basis_vector,
     parametric_solve,
 )
-from .params import ParamCoeff
+from .params import ParamCoeff, Scalar, fraction, is_rational
 from .scaling import WeightVector, building_blocks
 from .system import DdeSystem
 
@@ -68,8 +68,8 @@ def build_density_candidate(
 
 
 def _pure_power_normalization(
-    vec: dict[str, ParamCoeff], cand: DensityCandidate
-) -> tuple[dict[str, ParamCoeff], str]:
+    vec: dict[str, Scalar], cand: DensityCandidate
+) -> tuple[dict[str, Scalar], str]:
     """Scale so the first pure-power block x^k has coefficient 1/k, else the
     leading block has coefficient 1."""
     powers = {
@@ -161,11 +161,9 @@ def equivalent(rho1: LatticePoly, rho2: LatticePoly) -> Fraction | None:
         return None
     m1, a1 = c1.leading()
     a2 = c2.coeff(m1)
-    if not (a1.is_rational and a2.is_rational):
+    if not (a2 and is_rational(a1) and is_rational(a2)):
         return None
-    if a2.as_fraction() == 0:
-        return None
-    k = -a1.as_fraction() / a2.as_fraction()
+    k = -fraction(a1) / fraction(a2)
     if (c1 + c2 * k).is_zero and k != 0:
         return k
     return None

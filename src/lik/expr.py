@@ -3,8 +3,9 @@
 A variable is a component of the dependent vector at a shifted site,
 written u[k] for component ``u`` at site n+k.  Monomials map such
 variables to nonzero integer exponents (negative exponents allowed, e.g.
-1/v[0]).  Polynomials map monomials to exact coefficients that may be
-polynomial in declared scalar parameters.
+1/v[0]).  Polynomials map monomials to exact coefficients (lik.params):
+plain ints and Fractions, and a ParamCoeff only where a declared scalar
+parameter appears, so a parameter-free system computes on numbers.
 
 Everything here is immutable and pure; all arithmetic is exact.
 """
@@ -14,12 +15,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
-from .params import ParamCoeff, Scalar, join_signed
+from .params import Scalar, exact, fraction, is_rational, join_signed, signed_terms
 
 if TYPE_CHECKING:  # pragma: no cover
     from .system import DdeSystem
-
-_ONE = ParamCoeff.one()
 
 
 class LatticeMonomial:
@@ -132,15 +131,15 @@ def term_key(m: LatticeMonomial):
 
 
 class LatticePoly:
-    """Finite sum of monomials with exact parameter-polynomial coefficients."""
+    """Finite sum of monomials with exact coefficients (lik.params.Scalar)."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[LatticeMonomial, ParamCoeff]):
-        self._terms = {m: c for m, c in terms.items() if not c.is_zero}
+    def __init__(self, terms: Mapping[LatticeMonomial, Scalar]):
+        self._terms = {m: c for m, c in terms.items() if c}
 
     @classmethod
-    def _of(cls, terms: dict[LatticeMonomial, ParamCoeff]) -> "LatticePoly":
+    def _of(cls, terms: dict[LatticeMonomial, Scalar]) -> "LatticePoly":
         """Wrap terms that already hold only nonzero coefficients."""
         out = object.__new__(cls)
         out._terms = terms
@@ -154,24 +153,24 @@ class LatticePoly:
 
     @classmethod
     def const(cls, value: Scalar) -> "LatticePoly":
-        return cls({LatticeMonomial.constant(): ParamCoeff.coerce(value)})
+        return cls({LatticeMonomial.constant(): value})
 
     @classmethod
     def var(cls, comp: int, shift: int = 0, exp: int = 1) -> "LatticePoly":
-        return cls({LatticeMonomial.var(comp, shift, exp): ParamCoeff.one()})
+        return cls._of({LatticeMonomial.var(comp, shift, exp): 1})
 
     @classmethod
     def from_monomial(
         cls, m: LatticeMonomial, c: Scalar = 1
     ) -> "LatticePoly":
-        return cls({m: ParamCoeff.coerce(c)})
+        return cls({m: c})
 
     # -- inspection ----------------------------------------------------------
 
-    def items(self) -> list[tuple[LatticeMonomial, ParamCoeff]]:
+    def items(self) -> list[tuple[LatticeMonomial, Scalar]]:
         return sorted(self._terms.items(), key=lambda t: term_key(t[0]))
 
-    def terms(self) -> Iterable[tuple[LatticeMonomial, ParamCoeff]]:
+    def terms(self) -> Iterable[tuple[LatticeMonomial, Scalar]]:
         """The (monomial, coefficient) pairs in no fixed order."""
         return self._terms.items()
 
@@ -179,8 +178,8 @@ class LatticePoly:
         """The support in no fixed order; items() is the sorted view."""
         return list(self._terms)
 
-    def coeff(self, m: LatticeMonomial) -> ParamCoeff:
-        return self._terms.get(m, ParamCoeff.zero())
+    def coeff(self, m: LatticeMonomial) -> Scalar:
+        return self._terms.get(m, 0)
 
     @property
     def is_zero(self) -> bool:
@@ -189,9 +188,9 @@ class LatticePoly:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def leading(self) -> tuple[LatticeMonomial, ParamCoeff]:
+    def leading(self) -> tuple[LatticeMonomial, Scalar]:
         if not self._terms:
-            return LatticeMonomial.constant(), ParamCoeff.zero()
+            return LatticeMonomial.constant(), 0
         m = min(self._terms, key=term_key)
         return m, self._terms[m]
 
@@ -216,13 +215,13 @@ class LatticePoly:
         return LatticePoly._of(acc)
 
     def __mul__(self, other: Union["LatticePoly", Scalar]) -> "LatticePoly":
-        if isinstance(other, (int, Fraction, ParamCoeff)):
-            k = ParamCoeff.coerce(other)
-            if k.is_zero:
+        if not isinstance(other, LatticePoly):
+            if not other:
                 return LatticePoly.zero()
             # parameter polynomials have no zero divisors
+            k = exact(other)
             return LatticePoly._of({m: c * k for m, c in self._terms.items()})
-        acc: dict[LatticeMonomial, ParamCoeff] = {}
+        acc: dict[LatticeMonomial, Scalar] = {}
         for ma, ca in self._terms.items():
             for mb, cb in other._terms.items():
                 accumulate(acc, ma * mb, ca * cb)
@@ -233,10 +232,9 @@ class LatticePoly:
             if len(self._terms) != 1:
                 raise ValueError("negative power of a multi-term polynomial")
             ((m, c),) = self._terms.items()
-            if not c.is_rational:
+            if not is_rational(c):
                 raise ValueError("cannot invert a parametric coefficient")
-            f = c.as_fraction()
-            return LatticePoly({m**k: ParamCoeff.from_value(Fraction(1) / f ** (-k))})
+            return LatticePoly({m**k: exact(1 / fraction(c) ** -k)})
         out = LatticePoly.const(1)
         base = self
         while k:
@@ -273,13 +271,13 @@ def _coerce_poly(value: Union[LatticePoly, Scalar]) -> LatticePoly:
 
 def accumulate(acc: dict, key, c) -> None:
     """acc[key] += c, dropping the key when the sum cancels.  The values
-    are ParamCoeff or LatticePoly; c is nonzero, so no map holds a zero."""
+    are coefficients or LatticePoly; c is nonzero, so no map holds a zero."""
     old = acc.get(key)
     if old is None:
         acc[key] = c
     else:
         v = old + c
-        if v.is_zero:
+        if not v:
             del acc[key]
         else:
             acc[key] = v
@@ -292,14 +290,14 @@ def dir_derivative(p: LatticePoly, directions: Sequence[LatticePoly]) -> Lattice
     """Derivative of p along component directions: sum over variables x=(i,k)
     of (dp/dx) * D**k(directions[i]).  By the Leibniz rule, each factor
     x^e of a term c*m contributes e*c * (m/x) * D**k(directions[i])."""
-    acc: dict[LatticeMonomial, ParamCoeff] = {}
+    acc: dict[LatticeMonomial, Scalar] = {}
     for m, c in p._terms.items():
         f = m.flat
         for k in range(0, len(f), 3):
             comp, shift, e = f[k : k + 3]
             rest = f[: k + 2] + (e - 1,) if e != 1 else f[:k]
             cofactor = LatticeMonomial._of(rest + f[k + 3 :])
-            ce = c.scale(e)
+            ce = c * e
             for dm, dc in directions[comp]._terms.items():
                 accumulate(acc, cofactor * dm.shifted(shift), dc * ce)
     return LatticePoly._of(acc)
@@ -315,14 +313,14 @@ def total_time_derivative(p: LatticePoly, sys: "DdeSystem") -> LatticePoly:
     cached polynomial itself.
     """
     cache = sys.dt_cache
-    acc: dict[LatticeMonomial, ParamCoeff] = {}
+    acc: dict[LatticeMonomial, Scalar] = {}
     for m, c in p._terms.items():
         r = canonical_offset(m)
         rep = m.shifted(-r)
         d = cache.get(rep)
         if d is None:
-            d = cache[rep] = dir_derivative(LatticePoly._of({rep: _ONE}), sys.rhs)
-        if not r and len(p._terms) == 1 and c == _ONE:
+            d = cache[rep] = dir_derivative(LatticePoly._of({rep: 1}), sys.rhs)
+        if not r and len(p._terms) == 1 and c == 1:
             return d
         for dm, dc in d._terms.items():
             accumulate(acc, dm.shifted(r) if r else dm, dc * c)
@@ -364,8 +362,8 @@ def delta_decompose(p: LatticePoly) -> tuple[LatticePoly, LatticePoly]:
     canonical part (a nonzero constant is not a forward difference of any
     autonomous expression).  Linear in p.
     """
-    canonical: dict[LatticeMonomial, ParamCoeff] = {}
-    j_terms: dict[LatticeMonomial, ParamCoeff] = {}
+    canonical: dict[LatticeMonomial, Scalar] = {}
+    j_terms: dict[LatticeMonomial, Scalar] = {}
 
     for m, c in p._terms.items():
         r = canonical_offset(m)
@@ -389,9 +387,9 @@ def render_monomial(m: LatticeMonomial, names: Sequence[str]) -> str:
     return "*".join(factors)
 
 
-def _coeff_prefix(c: ParamCoeff) -> tuple[str, str]:
+def _coeff_prefix(c: Scalar) -> tuple[str, str]:
     """(sign, factor-string) for a coefficient; empty factor means 1."""
-    terms = c.signed_terms()
+    terms = signed_terms(c)
     if len(terms) == 1:
         sign, body = terms[0]
         return sign, body if body != "1" else ""

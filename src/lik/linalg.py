@@ -5,12 +5,14 @@ They are assembled column by column: each unknown contributes the
 polynomial slots of the defining identity it multiplies, each slot named
 by a sortable key, and every monomial of a slot gives one row.  A
 LinearSystem is in compressed sparse row form, each row's nonzero entries
-and their unknown indices; the solver reads it as sparse {column: entry}
-rows, one at a time where it can, and works on those throughout.  Two
-entry points stay, as the benchmark's tracer times each by name:
-parametric_solve handles every system, a parameter-free one as a single
-unconditional branch, and nullspace a system that is rational once its
-rows are normalized (the weights and the recursion restrictions).
+and their unknown indices; LinearSystem.build is the one place where the
+rows' plain numbers become ParamCoeff entries.  The solver reads it as
+sparse {column: entry} rows, one at a time where it can, and works on
+those throughout.  Two entry points stay, as the benchmark's tracer
+times each by name: parametric_solve handles every system, a
+parameter-free one as a single unconditional branch, and nullspace a
+system that is rational once its rows are normalized (the weights and
+the recursion restrictions).
 
 Every matrix whose entries are all rational -- a parameter-free system,
 or a branch whose parameters have been substituted away -- is solved by
@@ -52,7 +54,8 @@ from math import gcd, lcm
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .expr import LatticeMonomial, LatticePoly, accumulate, term_key
-from .params import ParamCoeff, divides_into_unit, primitive_row
+from .params import ParamCoeff, Scalar, divides_into_unit, exact, primitive_row
+from .params import fraction, is_rational
 
 # A sparse row: column index -> nonzero entry.
 Row = dict[int, ParamCoeff]
@@ -78,14 +81,15 @@ class LinearSystem(NamedTuple):
     def build(
         cls,
         unknowns: Sequence[str],
-        sparse_rows: Iterable[dict[str, ParamCoeff]],
+        sparse_rows: Iterable[dict[str, Scalar]],
     ) -> "LinearSystem":
-        """Order each row's nonzero entries by unknown; rows without one are
-        dropped.  Normalization is the solver's."""
+        """Order each row's nonzero entries by unknown, as ParamCoeffs; rows
+        without one are dropped.  Normalization is the solver's."""
         index = {t: i for i, t in enumerate(unknowns)}
+        coerce = functools.cache(ParamCoeff.coerce)  # one instance per distinct entry
         rows, columns = [], []
         for row in sparse_rows:
-            entries = sorted((index[t], c) for t, c in row.items() if not c.is_zero)
+            entries = sorted((index[t], coerce(c)) for t, c in row.items() if c)
             if entries:
                 cols, coeffs = zip(*entries)
                 rows.append(coeffs)
@@ -100,7 +104,7 @@ class LinearSystem(NamedTuple):
 class SolveOutcome(NamedTuple):
     """Nullspace basis: one sparse assignment per basis vector."""
 
-    basis: tuple[dict[str, ParamCoeff], ...]
+    basis: tuple[dict[str, Scalar], ...]
 
     @property
     def dimension(self) -> int:
@@ -127,20 +131,20 @@ class Branch(NamedTuple):
 def column_rows(
     unknowns: Iterable[str],
     columns: Iterable[Iterable[tuple[Hashable, LatticePoly]]],
-) -> list[dict[str, ParamCoeff]]:
+) -> list[dict[str, Scalar]]:
     """Sparse rows from per-unknown columns, each a stream of (slot key,
     polynomial the unknown contributes to that slot of the defining
     identity).  A column is scattered into its slots' rows as it is read,
     so it may be made just before and dropped after.  Every monomial of a
     slot gives one row; slots go in key order, monomials in term_key order.
     """
-    slots: dict[Hashable, dict[LatticeMonomial, dict[str, ParamCoeff]]] = {}
+    slots: dict[Hashable, dict[LatticeMonomial, dict[str, Scalar]]] = {}
     for tag, column in zip(unknowns, columns):
         for key, p in column:
             rows = slots.setdefault(key, {})
             for m, c in p.terms():
                 rows.setdefault(m, {})[tag] = c
-    out: list[dict[str, ParamCoeff]] = []
+    out: list[dict[str, Scalar]] = []
     for key in sorted(slots):
         rows = slots.pop(key)
         out.extend(rows[m] for m in sorted(rows, key=term_key))
@@ -248,9 +252,7 @@ def _rational_nullspace(unknowns: Sequence[str], matrix: Iterable[Row]) -> Solve
     for fc in (j for j in range(len(unknowns)) if j not in pivots):
         vec = {p: Fraction(-r[fc], r[p]) for p, r in pivots.items() if fc in r}
         vec[fc] = 1
-        basis.append(
-            {unknowns[j]: ParamCoeff.from_value(vec[j]) for j in sorted(vec)}
-        )
+        basis.append({unknowns[j]: exact(vec[j]) for j in sorted(vec)})
     return SolveOutcome(tuple(basis))
 
 
@@ -562,16 +564,16 @@ def parametric_solve(
 
 
 def normalize_basis_vector(
-    vec: dict[str, ParamCoeff], targets: Iterable[tuple[str, Fraction | int]]
-) -> tuple[str, dict[str, ParamCoeff]] | None:
+    vec: dict[str, Scalar], targets: Iterable[tuple[str, Fraction | int]]
+) -> tuple[str, dict[str, Scalar]] | None:
     """vec scaled so that its entry at the first target tag holding a
     nonzero rational equals that target's value, with the tag; None when
     no target tag holds one."""
     for tag, value in targets:
         cur = vec.get(tag)
-        if cur is not None and cur.is_rational and cur.as_fraction() != 0:
-            k = value / cur.as_fraction()
-            return tag, {t: c.scale(k) for t, c in vec.items()}
+        if cur and is_rational(cur):
+            k = exact(value / fraction(cur))
+            return tag, {t: exact(c * k) for t, c in vec.items()}
     return None
 
 

@@ -39,7 +39,7 @@ from .expr import (
     shift_correction,
     term_key,
 )
-from .params import ParamCoeff, join_signed
+from .params import Scalar, fraction, is_rational, join_signed
 
 Cofactors = dict[LatticeMonomial, LatticePoly]
 
@@ -189,8 +189,8 @@ class OpEntry:
     def __sub__(self, other: "OpEntry") -> "OpEntry":
         return self + (-other)
 
-    def scale(self, k: Union[int, Fraction, ParamCoeff]) -> "OpEntry":
-        if ParamCoeff.coerce(k).is_zero:
+    def scale(self, k: Scalar) -> "OpEntry":
+        if not k:
             return OpEntry()
         return OpEntry(
             {a: cof * k for a, cof in self.locals.items()},
@@ -292,7 +292,7 @@ class DiffOperator:
     def __sub__(self, other: "DiffOperator") -> "DiffOperator":
         return self + other.scale(-1)
 
-    def scale(self, k: Union[int, Fraction, ParamCoeff]) -> "DiffOperator":
+    def scale(self, k: Scalar) -> "DiffOperator":
         return DiffOperator([[e.scale(k) for e in row] for row in self.entries])
 
     def compose(self, other: "DiffOperator") -> "DiffOperator":
@@ -358,8 +358,8 @@ def _factor_str(p: LatticePoly, names: Sequence[str]) -> tuple[str, str]:
     items = p.items()
     if len(items) == 1:
         m, c = items[0]
-        if c.is_rational:
-            f = c.as_fraction()
+        if is_rational(c):
+            f = fraction(c)
             sign = "-" if f < 0 else "+"
             body = render_poly(p if f > 0 else -p, names)
             if body == "1":

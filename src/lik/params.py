@@ -1,8 +1,8 @@
-"""Exact coefficient ring: multivariate polynomials in declared scalar
-parameters with exact rational coefficients (int, or Fraction when not
-integral).
-
-With no parameters declared a coefficient degenerates to a plain rational.
+"""Exact coefficients: an int, a Fraction, or where a declared scalar
+parameter appears a ParamCoeff, a polynomial in the parameters with exact
+rational coefficients (int, or Fraction when not integral).  A ParamCoeff
+takes a number on either side of + - *, a constant one equals and hashes
+as its value, and is_rational, fraction and signed_terms read both kinds.
 No floating point anywhere.
 
 A parameter monomial is one int, the exponent of each parameter in its
@@ -41,10 +41,6 @@ _ONE_PM = 0  # the packed constant monomial
 _SHIFT: dict[str, int] = {}
 _GUARD = 0
 _DECODED: dict[int, tuple[tuple, PMono]] = {}
-
-# the shared small constants of ParamCoeff._of (hash-consing of immutable
-# values): value -> its one instance
-_SMALL: dict[int, "ParamCoeff"] = {}
 
 
 class ExponentOverflow(ValueError):
@@ -114,10 +110,13 @@ def _combined(a: dict, b: dict, sign: int) -> dict:
     return acc
 
 
-def _exact(value: Union[int, Fraction]) -> Union[int, Fraction]:
-    """value as an int when it is integral, else as a Fraction."""
+def exact(value: Scalar) -> Scalar:
+    """A number, or a ParamCoeff free of parameters, as an int when it is
+    integral and else as a Fraction; any other ParamCoeff as it is."""
     if type(value) is int:
         return value
+    if type(value) is ParamCoeff:
+        return value.value() if value.is_rational else value
     if type(value) is not Fraction:
         value = Fraction(value)  # bool, or another exact rational type
     return value.numerator if value.denominator == 1 else value
@@ -135,21 +134,11 @@ class ParamCoeff:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[PMono, Union[int, Fraction]]):
-        self._terms = {_pack(m): _exact(c) for m, c in terms.items() if c != 0}
+        self._terms = {_pack(m): exact(c) for m, c in terms.items() if c != 0}
 
     @classmethod
     def _of(cls, terms: dict[int, Union[int, Fraction]]) -> "ParamCoeff":
-        """Wrap packed terms that already hold only nonzero exact values.  A
-        constant integer in [-64, 64] other than 0 is one shared instance,
-        made on first use (_SMALL), so no method may change the terms it
-        wraps."""
-        if len(terms) == 1:
-            v = terms.get(_ONE_PM)
-            if type(v) is int and -64 <= v <= 64:
-                shared = _SMALL.get(v)
-                if shared is None:
-                    shared = _SMALL[v] = cls({(): v})
-                return shared
+        """Wrap packed terms that already hold only nonzero exact values."""
         out = object.__new__(cls)
         out._terms = terms
         return out
@@ -166,7 +155,7 @@ class ParamCoeff:
 
     @classmethod
     def from_value(cls, value: Union[int, Fraction]) -> "ParamCoeff":
-        v = _exact(value)
+        v = exact(value)
         return cls._of({_ONE_PM: v} if v else {})
 
     @classmethod
@@ -190,6 +179,9 @@ class ParamCoeff:
     @property
     def is_zero(self) -> bool:
         return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
 
     @property
     def is_rational(self) -> bool:
@@ -243,6 +235,9 @@ class ParamCoeff:
             other = ParamCoeff.coerce(other)
         return ParamCoeff._of(_combined(self._terms, other._terms, -1))
 
+    def __rsub__(self, other: Union[int, Fraction]) -> "ParamCoeff":
+        return -self + other
+
     def __mul__(self, other: Scalar) -> "ParamCoeff":
         if type(other) is not ParamCoeff:
             return self.scale(other)
@@ -250,7 +245,7 @@ class ParamCoeff:
         # a constant factor only scales: no monomial products
         if len(b) == 1 and _ONE_PM in b:
             if len(a) == 1 and _ONE_PM in a:
-                return ParamCoeff._of({_ONE_PM: _exact(a[_ONE_PM] * b[_ONE_PM])})
+                return ParamCoeff._of({_ONE_PM: exact(a[_ONE_PM] * b[_ONE_PM])})
             return self.scale(b[_ONE_PM])
         if len(a) == 1 and _ONE_PM in a:
             return other.scale(a[_ONE_PM])
@@ -288,7 +283,7 @@ class ParamCoeff:
         return out
 
     def scale(self, value: Union[int, Fraction]) -> "ParamCoeff":
-        k = _exact(value)
+        k = exact(value)
         if k == 1:
             return self
         if not k:
@@ -309,7 +304,9 @@ class ParamCoeff:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._terms.items())))
+        # a rational coefficient hashes as the number it equals
+        t = self._terms
+        return hash(t.get(_ONE_PM, 0) if self.is_rational else tuple(sorted(t.items())))
 
     # -- structure -----------------------------------------------------
 
@@ -329,7 +326,7 @@ class ParamCoeff:
         shift = _shift(name)
         one = 1 << shift
         return ParamCoeff._of({
-            m - one: _exact(c * k)
+            m - one: exact(c * k)
             for m, c in self._terms.items()
             if (k := (m >> shift) & _MASK)
         })
@@ -354,25 +351,37 @@ class ParamCoeff:
     # -- rendering -------------------------------------------------------
 
     def render(self) -> str:
-        return join_signed(self.signed_terms()) if self._terms else "0"
-
-    def signed_terms(self) -> list[tuple[str, str]]:
-        """(sign, magnitude) of each term in order, for join_signed."""
-        out = []
-        for m, c in self.items():
-            factors = [f"{n}^{e}" if e > 1 else n for n, e in m]
-            mag = abs(c)
-            if not factors:
-                body = _render_fraction(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([_render_fraction(mag)] + factors)
-            out.append(("+" if c > 0 else "-", body))
-        return out
+        return join_signed(signed_terms(self)) if self._terms else "0"
 
     def __repr__(self) -> str:
         return f"ParamCoeff({self.render()})"
+
+
+def is_rational(c: Scalar) -> bool:
+    """Whether c is a number or a ParamCoeff free of parameters."""
+    return type(c) is not ParamCoeff or c.is_rational
+
+
+def fraction(c: Scalar) -> Fraction:
+    """The value of a rational c as a Fraction."""
+    return c.as_fraction() if type(c) is ParamCoeff else Fraction(c)
+
+
+def signed_terms(c: Scalar) -> list[tuple[str, str]]:
+    """(sign, magnitude) of each term of a nonzero c in order, for
+    join_signed."""
+    out = []
+    for m, v in c.items() if type(c) is ParamCoeff else [((), c)]:
+        factors = [f"{n}^{e}" if e > 1 else n for n, e in m]
+        mag = abs(v)
+        if not factors:
+            body = _render_fraction(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([_render_fraction(mag)] + factors)
+        out.append(("+" if v > 0 else "-", body))
+    return out
 
 
 def primitive_row(
@@ -462,7 +471,7 @@ def join_signed(terms: Iterable[tuple[str, str]]) -> str:
     return " ".join(parts)
 
 
-def _render_fraction(f: Fraction) -> str:
+def _render_fraction(f: Union[int, Fraction]) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"({f.numerator}/{f.denominator})"

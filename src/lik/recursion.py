@@ -42,7 +42,7 @@ from .linalg import (
     nullspace,
 )
 from .operators import DiffOperator, ExtendedExpr, OpEntry
-from .params import ParamCoeff
+from .params import Scalar, fraction, is_rational
 from .scaling import WeightVector, achievable_ranks, power_products, rank_of
 from .symmetry import (
     SymmetryResult,
@@ -57,7 +57,7 @@ from .system import DdeSystem
 
 RankMatrix = tuple[tuple[Fraction, ...], ...]
 # Staged-solve space: (vector over candidate tags and scale unknowns, operator)
-Space = list[tuple[dict[str, ParamCoeff], DiffOperator]]
+Space = list[tuple[dict[str, int | Fraction], DiffOperator]]
 
 # How many symmetry levels recursion_pipeline computes before the operator.
 DEFAULT_LEVELS = 3
@@ -140,7 +140,7 @@ def _signed_components(g: SymmetryResult) -> tuple[LatticePoly, ...]:
     for c in g.components:
         if not c.is_zero:
             _, lead = c.leading()
-            if lead.is_rational and lead.as_fraction() < 0:
+            if is_rational(lead) and fraction(lead) < 0:
                 return tuple(-x for x in g.components)
             break
     return g.components
@@ -285,7 +285,7 @@ def _slots(exprs: Sequence[ExtendedExpr]):
 
 def _restriction_rows(
     columns: Iterable[Sequence[ExtendedExpr]],
-) -> list[dict[str, ParamCoeff]]:
+) -> list[dict[str, Scalar]]:
     """Rows of one restriction: one column of applied expressions per
     space element, named by position and read as it is made."""
     return column_rows(map(str, itertools.count()), map(_slots, columns))
@@ -312,12 +312,12 @@ def _restrict(space: Space, columns: Iterable[Sequence[ExtendedExpr]]) -> Space:
         )
     out = []
     for y in outcome.basis:
-        vec: dict[str, ParamCoeff] = {}
+        vec: dict[str, int | Fraction] = {}
         op = DiffOperator.zero(space[0][1].n)
         for tag, k in y.items():
             v, o = space[int(tag)]
             for t, x in v.items():
-                vec[t] = vec.get(t, ParamCoeff.zero()) + x * k
+                vec[t] = vec.get(t, 0) + x * k
             op = op + o.scale(k)
         out.append((vec, op))
     return out
@@ -370,7 +370,7 @@ def _determine(
         )
 
     fp = frechet_operator(sys.rhs)
-    space = [({t: ParamCoeff.one()}, op) for t, op in zip(cand.unknowns, cand.basis)]
+    space = [({t: 1}, op) for t, op in zip(cand.unknowns, cand.basis)]
     # R G(1) = mu G(1 + gap), a symmetry, so the probe on G(1) restricts nothing
     probed = 1  # symmetries whose identity probes restricted the space
     for k, (ga, gb) in enumerate(pairs):
@@ -378,7 +378,7 @@ def _determine(
         # -Gb, then the probes on every symmetry up to Gb
         minus_gb = [ExtendedExpr(-c) for c in gb.components]
         applied = (op.apply(list(ga.components)) for _, op in space)
-        scale = ({f"mu{k + 1}": ParamCoeff.one()}, DiffOperator.zero(sys.n))
+        scale = ({f"mu{k + 1}": 1}, DiffOperator.zero(sys.n))
         space = _restrict(space + [scale], itertools.chain(applied, [minus_gb]))
         for g in symmetries[probed : k + gap + 1]:
             probes = (identity_residual(op, sys, fp) for _, op in space)
@@ -394,15 +394,14 @@ def _determine(
         )
     # the nullspace basis is rational, so mu is too
     vec, operator = space[0]
-    mu = vec.get("mu1", ParamCoeff.zero()).as_fraction()
+    mu = Fraction(vec.get("mu1", 0))
     if not mu:
         raise _NoOperator(
             "generation",
             "no operator maps the first symmetry to the second (scale "
             "coefficient vanishes)",
         )
-    zero = ParamCoeff.zero()
-    coeffs = {tag: vec.get(tag, zero).as_fraction() / mu for tag in cand.unknowns}
+    coeffs = {tag: vec.get(tag, 0) / mu for tag in cand.unknowns}
     return coeffs, operator.scale(1 / mu), fp
 
 

@@ -20,7 +20,6 @@ from .expr import (
     total_time_derivative,
 )
 from .linalg import LinearSystem, nullspace
-from .params import ParamCoeff
 from .system import DdeSystem
 
 
@@ -68,18 +67,13 @@ def compute_weights(sys: DdeSystem) -> WeightVector:
     columns = tuple(f"w{i}" for i in range(n)) + ("t",)
     system = LinearSystem.build(
         columns,
-        (
-            {columns[j]: ParamCoeff.from_value(c) for j, c in row.items()}
-            for row in _balance_rows(sys)
-        ),
+        ({columns[j]: c for j, c in row.items()} for row in _balance_rows(sys)),
     )
     # t is the last column, so the one basis vector holding it has t = 1;
     # every other vector is a direction whose last entry is its free column
     particular, free = None, []
     for vec in nullspace(system).basis:
-        weights = tuple(
-            vec.get(c, ParamCoeff.zero()).as_fraction() for c in columns[:n]
-        )
+        weights = tuple(Fraction(vec.get(c, 0)) for c in columns[:n])
         if "t" in vec:
             particular = weights
         else:

@@ -121,7 +121,9 @@ def compose(p: LatticePoly, mapping) -> LatticePoly:
 
 def param_coefficient(p: LatticePoly, name: str, power: int) -> LatticePoly:
     """The coefficient of name**power across every term of p."""
-    return LatticePoly({m: c.coeff_of(name, power) for m, c in p.terms()})
+    return LatticePoly(
+        {m: ParamCoeff.coerce(c).coeff_of(name, power) for m, c in p.terms()}
+    )
 
 
 def substitute(c: ParamCoeff, assignment) -> ParamCoeff:

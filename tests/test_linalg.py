@@ -16,7 +16,7 @@ from lik.linalg import (
     nullspace,
     parametric_solve,
 )
-from lik.params import ParamCoeff
+from lik.params import ParamCoeff, fraction
 
 
 def R(v) -> ParamCoeff:
@@ -65,7 +65,7 @@ class TestNullspace:
         out = nullspace(sys)
         assert out.dimension == 1
         _, vec = normalize_basis_vector(out.basis[0], [("c1", Fraction(1, 3))])
-        assert {t: c.as_fraction() for t, c in vec.items()} == {
+        assert {t: fraction(c) for t, c in vec.items()} == {
             "c1": Fraction(1, 3),
             "c2": Fraction(1),
             "c3": Fraction(1),
@@ -173,7 +173,7 @@ class TestRationalKernel:
         assert dense(raw) == dense(built) == nonzero_rows
         for system in (raw, built):
             got = [
-                [(t, c.as_fraction()) for t, c in vec.items()]
+                [(t, fraction(c)) for t, c in vec.items()]
                 for vec in nullspace(system).basis
             ]
             assert got == expected
@@ -193,7 +193,7 @@ class TestRationalKernel:
         special = branches[1]
         assert special.neq_conditions == () and special.status == "solved"
         assert [
-            {t: c.as_fraction() for t, c in vec.items()}
+            {t: fraction(c) for t, c in vec.items()}
             for vec in special.outcome.basis
         ] == [{"c1": -1, "c2": 1}, {"c1": -3, "c3": 1}]
 
@@ -610,7 +610,7 @@ class TestIntegerKernel:
             [{t: v for t, v in zip(unknowns, row) if v} for row in rows], unknowns
         )
         got = [
-            [(t, c.as_fraction()) for t, c in vec.items()]
+            [(t, fraction(c)) for t, c in vec.items()]
             for vec in nullspace(system).basis
         ]
         assert got == sympy_nullspace(ncols, rows, unknowns)
@@ -642,7 +642,7 @@ class TestIntegerKernel:
         )
         (vec,) = nullspace(system).basis
         # the coefficients of (x - 1)(x - 2)...(x - 5), constant term first
-        assert [vec[t].as_fraction() for t in unknowns] == [
+        assert [fraction(vec[t]) for t in unknowns] == [
             -120, 274, -225, 85, -15, 1
         ]
         assert produced
@@ -660,7 +660,7 @@ class TestColumnRows:
         def rows(slot1):
             columns = [(P("v[0]"), slot1[0]), (P("2*v[0]"), slot1[1])]
             out = column_rows(("c1", "c2"), map(enumerate, columns))
-            return [[(t, c.as_fraction()) for t, c in r.items()] for r in out]
+            return [[(t, fraction(c)) for t, c in r.items()] for r in out]
 
         # slot 0 first, then slot 1's monomials in term_key order:
         # u[0]^2*v[1], u[1]^3, v[0]*v[2], u[0]

@@ -191,6 +191,43 @@ class TestRingAgainstReference:
             _assert_stored_values(got)
 
     @RING
+    @given(raw_coeffs, scalars)
+    def test_numbers_on_either_side(self, f, k):
+        p, rf = ParamCoeff(f), _exact_ref(f)
+        rk = {(): Fraction(k)} if k else {}
+        neg_f = {m: -c for m, c in rf.items()}
+        for got, want in (
+            (p + k, _ref_add(rf, rk)),
+            (k + p, _ref_add(rk, rf)),
+            (p - k, _ref_add(rf, {m: -c for m, c in rk.items()})),
+            (k - p, _ref_add(rk, neg_f)),
+            (p * k, _ref_mul(rf, rk)),
+            (k * p, _ref_mul(rk, rf)),
+        ):
+            assert type(got) is ParamCoeff
+            assert _ref(got) == want
+            _assert_stored_values(got)
+        # a constant coefficient computes as the number it equals
+        c = ParamCoeff.from_value(k)
+        assert _ref(p + c) == _ref(p + k) and _ref(c - p) == _ref(k - p)
+        assert _ref(p * c) == _ref(k * p) and bool(c) == bool(k)
+
+    @RING
+    @given(raw_coeffs, raw_coeffs, scalars)
+    def test_equal_values_hash_equal(self, f, g, k):
+        p, q = ParamCoeff(f), ParamCoeff(g)
+        # numbers, and coefficients equal to them: (p + k) - p is constant
+        pool = [
+            k, Fraction(k), ParamCoeff.from_value(k), (p + k) - p, k * (q - q + 1),
+            0, p - p, p, q, p + q, q + p, p * q, -p, 0 - p,
+        ]
+        for x in pool:
+            for y in pool:
+                if x == y:
+                    assert hash(x) == hash(y), (x, y)
+        assert {ParamCoeff.from_value(k): 1}.get(k) == 1
+
+    @RING
     @given(raw_coeffs, raw_coeffs, raw_coeffs, st.integers(0, 2), st.sampled_from(NAMES))
     def test_substitute_cleared(self, f, num, den, extra, name):
         p = ParamCoeff(f)
@@ -266,70 +303,6 @@ def test_constructors_store_exact_values():
     # dividing two accessors is exact division, never float division
     assert ParamCoeff.from_value(1).as_fraction() / ParamCoeff.from_value(3).as_fraction() == Fraction(1, 3)
     assert ParamCoeff.from_value(3).leading()[1] / 2 == Fraction(3, 2)
-
-
-# -- shared small constants ----------------------------------------------------
-
-from pathlib import Path  # noqa: E402
-
-from lik.cli import main  # noqa: E402
-from lik.params import _SMALL, _pack  # noqa: E402
-
-
-def _is_shared(pc) -> bool:
-    return any(pc is s for s in _SMALL.values())
-
-
-def _assert_shared_intact():
-    # 0 is the packed key of the constant monomial
-    for v, s in _SMALL.items():
-        assert s._terms == {0: v} and type(s._terms[0]) is int
-
-
-class TestSharedConstants:
-    @RING
-    @given(raw_coeffs, raw_coeffs, scalars)
-    def test_results_equal_fresh_coefficients(self, f, g, k):
-        p, q = ParamCoeff(f), ParamCoeff(g)
-        rf, rg = _exact_ref(f), _exact_ref(g)
-        for got, want in (
-            (p + q, _ref_add(rf, rg)),
-            (p - q, _ref_add(rf, {m: -c for m, c in rg.items()})),
-            (p * q, _ref_mul(rf, rg)),
-            (p.scale(k), {m: c * k for m, c in rf.items() if c * k}),
-        ):
-            fresh = ParamCoeff(want)
-            assert got == fresh and hash(got) == hash(fresh)
-            assert got.items() == fresh.items() and got.render() == fresh.render()
-        _assert_shared_intact()
-
-    def test_parametric_and_zero_are_never_shared(self):
-        a, b = ParamCoeff.param("a"), ParamCoeff.param("b")
-        for pc in (
-            a,
-            -3 * a * b,
-            a * 2 - a,
-            ParamCoeff._of({_pack((("a", 1),)): 1}),
-            ParamCoeff._of({_pack((("a", 1), ("b", 1))): -3}),
-            ParamCoeff.zero(),
-            ParamCoeff.from_value(0),
-            a - a,
-            ParamCoeff.one() - 1,
-            a * 0,
-        ):
-            assert not _is_shared(pc), pc
-        # constants are shared only inside [-64, 64]
-        assert _is_shared(ParamCoeff.from_value(-64))
-        assert _is_shared(ParamCoeff.from_value(8) * ParamCoeff.from_value(8))
-        assert not _is_shared(ParamCoeff.from_value(65))
-        assert not _is_shared(ParamCoeff.from_value(Fraction(1, 2)))
-
-    def test_shared_instances_intact_after_a_recursion_run(self, capsys):
-        toda = Path(__file__).resolve().parent.parent / "systems" / "toda.dde"
-        code = main(["recursion", str(toda)])
-        capsys.readouterr()
-        _assert_shared_intact()
-        assert code == 0
 
 
 # -- the packed form: exponent limit and field order ---------------------------
@@ -566,3 +539,48 @@ def test_division_does_not_depend_on_the_field_order():
     name_order = run("a", "b")
     assert run("b", "a") == name_order
     assert name_order == ["False", "False", "True", "True", "False", "True", "False"]
+
+
+# -- the coefficient domain of a run -------------------------------------------
+
+from pathlib import Path  # noqa: E402
+
+from lik.conservation import build_density_candidate, solve_density  # noqa: E402
+from lik.parser import parse_system  # noqa: E402
+from lik.recursion import recursion_pipeline  # noqa: E402
+from lik.scaling import achievable_ranks, compute_weights  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run_polys(source: str, max_rank: int, recursion: bool):
+    """Every polynomial a densities run up to max_rank (and a recursion run)
+    reports or keeps: the right-hand side, the densities and fluxes, the
+    symmetries, the operator's cofactors and the Dt cache."""
+    system = parse_system((ROOT / source).read_text())
+    w = compute_weights(system)
+    polys = list(system.rhs)
+    for rank in achievable_ranks(w, max_rank):
+        cand = build_density_candidate(system, w, rank)
+        results, _ = solve_density(cand, system)
+        polys += [p for r in results for p in (r.density, r.flux)]
+    if recursion:
+        outcome, found = recursion_pipeline(system, w)
+        assert outcome.ok
+        polys += [c for g in found for c in g.components]
+        entries = [e for row in outcome.operator.entries for e in row]
+        polys += [c for e in entries for c in (*e.locals.values(), *e.nonlocals.values())]
+    return polys + list(system.dt_cache.values())
+
+
+def test_a_parameter_free_run_holds_numbers_only():
+    polys = _run_polys("systems/toda.dde", 6, recursion=True)
+    kinds = {type(c) for p in polys for _, c in p.terms()}
+    assert kinds == {int, Fraction}
+
+
+def test_a_parametric_run_keeps_parameters_on_their_terms():
+    polys = _run_polys("systems/parameterized_toda.dde", 3, recursion=False)
+    coeffs = [c for p in polys for _, c in p.terms()]
+    assert {type(c) for c in coeffs} == {int, Fraction, ParamCoeff}
+    assert all(c.parameters() for c in coeffs if type(c) is ParamCoeff)

@@ -330,7 +330,7 @@ from lik.linalg import (  # noqa: E402
     nullspace,
 )
 from lik.operators import DiffOperator, ExtendedExpr  # noqa: E402
-from lik.params import ParamCoeff  # noqa: E402
+from lik.params import ParamCoeff, fraction  # noqa: E402
 from lik.parser import parse_system  # noqa: E402
 from lik.recursion import (  # noqa: E402
     _NoOperator,
@@ -491,7 +491,7 @@ def reference_determine(sys, w, symmetries, gap, max_depth):
         )
     _, solution = scaled
     coeffs = {
-        tag: solution.get(tag, ParamCoeff.zero()).as_fraction()
+        tag: fraction(solution.get(tag, 0))
         for tag in cand.unknowns
     }
     operator = DiffOperator.zero(sys.n)
